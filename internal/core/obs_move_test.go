@@ -156,6 +156,10 @@ func TestMoveObsOffAllocFree(t *testing.T) {
 			return
 		}
 		sched.Move(src, dst) // warm-up: grows the schedule's reusable buffers
+		// Mallocs is process-global: pin GOMAXPROCS to 1 while measuring,
+		// as testing.AllocsPerRun does, so no other goroutine's
+		// allocations land inside the window.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)

@@ -12,7 +12,7 @@ import (
 // recomputing them collectively — must finish with exactly the
 // ResultHash of a fault-free run that had all 4 servers from t=0.
 // Checked fault-free and under the pinned "growth" chaos profile's
-// message faults, serial and sharded.
+// message faults, on one shard and on four.
 func TestElasticGrowBitIdentical(t *testing.T) {
 	cfg := ElasticGrowConfig{StartProcs: 2, GrowProcs: 2, Iters: 5, Seed: chaosSeed(t, 11)}
 	grown, clean := ElasticGrow(cfg)
@@ -59,17 +59,17 @@ func TestElasticGrowBitIdentical(t *testing.T) {
 			grown2.Grows, grown.Grows, grown2.Repaired, grown.Repaired)
 	}
 
-	// Sharded scheduler: bit-identical to serial.
+	// Four shards: bit-identical to one.
 	sharded := cfg
 	sharded.Shards = 4
 	grownN := runElasticGrow(sharded)
 	if grownN.ResultHash != grown.ResultHash || grownN.Makespan != grown.Makespan {
-		t.Errorf("sharded run diverged: hash %#x vs serial %#x, makespan %g vs %g",
+		t.Errorf("sharded run diverged: hash %#x vs one-shard %#x, makespan %g vs %g",
 			grownN.ResultHash, grown.ResultHash, grownN.Makespan, grown.Makespan)
 	}
 
 	// Under the pinned growth profile's message faults with reliable
-	// transport: still bit-identical, serial and sharded.
+	// transport: still bit-identical, on one shard and on four.
 	faulty := cfg
 	faulty.Fault = faultsim.Growth(cfg.Seed)
 	grownF := runElasticGrow(faulty)
@@ -81,7 +81,7 @@ func TestElasticGrowBitIdentical(t *testing.T) {
 	faultyN.Shards = 4
 	grownFN := runElasticGrow(faultyN)
 	if grownFN.ResultHash != grownF.ResultHash || grownFN.Makespan != grownF.Makespan {
-		t.Errorf("sharded faulty run diverged: hash %#x vs serial %#x, makespan %g vs %g",
+		t.Errorf("sharded faulty run diverged: hash %#x vs one-shard %#x, makespan %g vs %g",
 			grownFN.ResultHash, grownF.ResultHash, grownFN.Makespan, grownF.Makespan)
 	}
 }

@@ -81,8 +81,8 @@ func TestShardedDeterminismSweep(t *testing.T) {
 	}
 }
 
-// TestFigure10GoldenUnshardedFallback pins the serial fallback: an
-// attached observability tracer forces the serial loop no matter what
+// TestFigure10GoldenUnshardedFallback pins the one-shard fallback: an
+// attached observability tracer forces one shard no matter what
 // MPSIM_SHARDS asks for, so the profiled Figure-10 run must still
 // reproduce the pre-sharding golden trace byte for byte.
 func TestFigure10GoldenUnshardedFallback(t *testing.T) {

@@ -115,6 +115,10 @@ type crashState struct {
 	incTimes []float64
 	// bodies are the program bodies, retained for restarts.
 	bodies []func(p *Proc)
+	// restarts[r] counts rank r's restart timers not yet fired.  A dead
+	// rank with a restart ahead stays live, so the run cannot end
+	// before the restart brings it back.
+	restarts []int
 }
 
 func (w *World) initCrash(plan CrashPlan, det *Detector, programs []ProgramSpec) {
@@ -133,6 +137,7 @@ func (w *World) initCrash(plan CrashPlan, det *Detector, programs []ProgramSpec)
 		detectedAt: make([]float64, len(w.procs)),
 		recIdx:     make([]int, len(w.procs)),
 		bodies:     make([]func(p *Proc), len(w.procs)),
+		restarts:   make([]int, len(w.procs)),
 	}
 	for r := range w.procs {
 		cs.crashedAt[r] = -1
@@ -153,6 +158,7 @@ func (w *World) initCrash(plan CrashPlan, det *Detector, programs []ProgramSpec)
 		w.addTimer(&timer{at: at, rank: rank, kind: tCrash, p: w.procs[rank]})
 		if ev.RestartAt > at {
 			w.addTimer(&timer{at: ev.RestartAt, rank: rank, kind: tRestart, p: w.procs[rank]})
+			cs.restarts[rank]++
 		}
 	}
 }
@@ -163,8 +169,7 @@ func (w *World) initCrash(plan CrashPlan, det *Detector, programs []ProgramSpec)
 // suspicion timer is armed.  Reaping eagerly — rather than waiting for
 // the victim's next scheduling turn — keeps the death's side effects
 // (live count, queue wipe, restart eligibility) at one well-defined
-// virtual position, which the sharded engine needs for
-// serial-equivalence.
+// virtual position, which N-shard runs need to match one-shard runs.
 func (w *World) fireCrash(tm *timer) {
 	cs := w.crash
 	p := tm.p
@@ -189,6 +194,9 @@ func (w *World) fireCrash(tm *timer) {
 		p.clock = tm.at
 	}
 	w.reap(p)
+	if cs.restarts[r] > 0 {
+		p.shard.live++
+	}
 }
 
 // reap resumes a killed process so its goroutine unwinds immediately
@@ -267,6 +275,7 @@ func (w *World) hopelessWants(wantsAny []recvWant, wantSrc int, now float64) (in
 func (w *World) fireRestart(tm *timer) {
 	cs := w.crash
 	p := tm.p
+	cs.restarts[p.worldRank]--
 	if !cs.dead[p.worldRank] {
 		return
 	}
@@ -329,11 +338,6 @@ func (w *World) restartProc(p *Proc, at float64) {
 	p.progComm.seq = 0
 	w.record(Event{Time: at, Rank: r, Kind: EvRestart, Peer: -1})
 	w.launchProc(p, cs.bodies[r])
-	if s := p.shard; s != nil {
-		s.live++
-	} else {
-		w.live++
-	}
 	w.wake(p)
 }
 

@@ -309,3 +309,34 @@ func TestCrashZeroOverheadWithoutPlan(t *testing.T) {
 		t.Errorf("Crashes = %v, want nil without a plan", st.Crashes)
 	}
 }
+
+// TestCrashEveryRankEndsOrRestarts pins how a run ends when a crash
+// kills its last live process, identically for one shard and several:
+// without a restart the run simply ends at the crash; with a restart
+// ahead the dead rank stays live and the run continues through it.
+func TestCrashEveryRankEndsOrRestarts(t *testing.T) {
+	run := func(shards int, plan testPlan) *Stats {
+		return Run(Config{
+			Machine: SP2(),
+			Crash:   plan,
+			Shards:  shards,
+			Trace:   true,
+			Programs: []ProgramSpec{{Name: "spmd", Procs: 2, Body: func(p *Proc) {
+				if p.Incarnation() == 0 {
+					idleUntilKilled(p)
+				}
+				p.Sleep(1e-3)
+			}}},
+		})
+	}
+	for _, shards := range []int{1, 2} {
+		st := run(shards, testPlan{{Rank: 0, At: 0.005}, {Rank: 1, At: 0.005}})
+		if st.MakespanSeconds != 0.005 || len(st.Crashes) != 2 {
+			t.Errorf("shards=%d, no restart: makespan %v, crashes %v; want the run to end at the crash", shards, st.MakespanSeconds, st.Crashes)
+		}
+		st = run(shards, testPlan{{Rank: 0, At: 0.005}, {Rank: 1, At: 0.005, RestartAt: 0.02}})
+		if st.MakespanSeconds != 0.021 || st.Crashes[1].RestartAt != 0.02 {
+			t.Errorf("shards=%d, restart ahead: makespan %v, crashes %v; want the restarted rank to finish at 0.021", shards, st.MakespanSeconds, st.Crashes)
+		}
+	}
+}

@@ -15,7 +15,7 @@ import "sort"
 //   - The world is sized for its maximum membership up front; a join
 //     plan only chooses *when* each rank starts executing.  This keeps
 //     world ranks, node placement and the total event order stable
-//     across engines (serial and sharded), which is what makes grown
+//     across shard counts, which is what makes grown
 //     runs bit-identical to statically-sized ones once the application
 //     masks out absent ranks.
 //   - A dormant rank is invisible to the run: it executes nothing,

@@ -163,7 +163,7 @@ func TestJoinDormantRankCannotCrash(t *testing.T) {
 
 func TestJoinDeterministicAcrossEngines(t *testing.T) {
 	// The join timer rides the same heap as every other event, so the
-	// serial and sharded engines must agree bit for bit.
+	// one-shard and 4-shard runs must agree bit for bit.
 	run := func(shards int) *Stats {
 		return Run(Config{
 			Machine: AlphaFarmATM(),
@@ -181,16 +181,16 @@ func TestJoinDeterministicAcrossEngines(t *testing.T) {
 			}}},
 		})
 	}
-	serial, sharded := run(0), run(4)
-	if serial.MakespanSeconds != sharded.MakespanSeconds {
-		t.Errorf("makespan %g serial vs %g sharded", serial.MakespanSeconds, sharded.MakespanSeconds)
+	oneShard, sharded := run(0), run(4)
+	if oneShard.MakespanSeconds != sharded.MakespanSeconds {
+		t.Errorf("makespan %g one shard vs %g sharded", oneShard.MakespanSeconds, sharded.MakespanSeconds)
 	}
-	if len(serial.Joins) != 2 || len(sharded.Joins) != 2 {
-		t.Fatalf("join records: serial %v, sharded %v, want 2 each", serial.Joins, sharded.Joins)
+	if len(oneShard.Joins) != 2 || len(sharded.Joins) != 2 {
+		t.Fatalf("join records: one shard %v, sharded %v, want 2 each", oneShard.Joins, sharded.Joins)
 	}
-	for i := range serial.Joins {
-		if serial.Joins[i] != sharded.Joins[i] {
-			t.Errorf("join %d: serial %v, sharded %v", i, serial.Joins[i], sharded.Joins[i])
+	for i := range oneShard.Joins {
+		if oneShard.Joins[i] != sharded.Joins[i] {
+			t.Errorf("join %d: one shard %v, sharded %v", i, oneShard.Joins[i], sharded.Joins[i])
 		}
 	}
 }

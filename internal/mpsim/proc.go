@@ -70,9 +70,8 @@ type Proc struct {
 	finalClock float64
 
 	resume chan struct{}
-	// sched is where the process reports scheduling events: the world's
-	// single channel in a serial run, the owning shard's channel in a
-	// sharded one.
+	// sched is where the process reports scheduling events: its
+	// shard's channel.
 	sched chan schedEvent
 	state procState
 	// heapIdx is the process's position in its run queue, -1 while not
@@ -116,8 +115,7 @@ type Proc struct {
 	killed      bool
 	incarnation int
 
-	// shard is the scheduler shard owning this process, nil in a serial
-	// run (see shard.go).
+	// shard is the scheduler shard owning this process (see shard.go).
 	shard *shard
 }
 
@@ -302,11 +300,11 @@ func (p *Proc) sendImpl(to, tag int, data []byte, pay *bufpool.Payload) {
 	sp.SetPeer(to).SetBytes(size)
 	m := p.world.machine
 	dst := p.world.procs[to]
-	if pay != nil && p.shard != nil && dst.shard != p.shard && !pay.Materialized() {
+	if pay != nil && dst.shard != p.shard && !pay.Materialized() {
 		// The destination shard reads the payload concurrently with this
 		// shard's later instructions; sever the views of live storage
-		// now.  Same-shard (and serial) deliveries stay zero-copy — the
-		// executor settles those at its own exit.
+		// now.  Same-shard deliveries stay zero-copy — the executor
+		// settles those at its own exit.
 		pay.Materialize()
 	}
 
@@ -344,7 +342,7 @@ func (p *Proc) sendImpl(to, tag int, data []byte, pay *bufpool.Payload) {
 			}
 			arrival = start + xmit + m.Latency
 			msgXmit = xmit
-			remote = p.shard != nil && dst.shard != p.shard
+			remote = dst.shard != p.shard
 		} else {
 			// Same node, different process: shared-memory transfer.
 			arrival = start + float64(size)/m.LocalCopyBandwidth
@@ -371,9 +369,9 @@ func (p *Proc) sendImpl(to, tag int, data []byte, pay *bufpool.Payload) {
 		// arrival: the destination shard observes it at a clock the
 		// LogGP latency floor bounds away from now, which is what lets
 		// shards run a lookahead window in parallel.  Every other path
-		// — all serial-run sends, and self, same-node, and intra-shard
-		// sends in a sharded run — bypasses the mailbox and enqueues
-		// immediately, exactly like the serial scheduler always has.
+		// — self, same-node and intra-shard sends, which covers every
+		// send of a one-shard run — bypasses the mailbox and enqueues
+		// immediately.
 		msg.sentAt = p.clock
 		tm := p.tcache().get()
 		tm.at, tm.rank, tm.kind, tm.msg, tm.dst = msg.arrival, p.worldRank, tMsg, msg, to
@@ -600,37 +598,31 @@ func (p *Proc) ReliableTransport() bool {
 // retransmit and duplicate counts around a data move.
 func (p *Proc) NetPairStats(from, to int) PairStats {
 	w := p.world
-	if sr := w.sh; sr != nil {
-		var out PairStats
-		if n := w.net; n != nil {
-			// The transport counters live in the coordinator's map;
-			// shard-side writers (send-path drops) hold mu, coordinator
-			// writers only run while shards are quiesced, and the window
-			// bound never outruns a pending transport event — so a
-			// mid-run read sees exactly the serial values.
-			n.mu.Lock()
-			if ps := w.stats.Pairs[PairKey{From: from, To: to}]; ps != nil {
-				out = *ps
-			}
-			n.mu.Unlock()
+	var out PairStats
+	if n := w.net; n != nil {
+		// The transport counters live in Stats.Pairs; shard-side
+		// writers (send-path drops) hold mu, an N-shard run's
+		// coordinator writes only while shards are quiesced, and the
+		// window bound never outruns a pending transport event — so a
+		// mid-run read sees exactly the one-shard values.
+		n.mu.Lock()
+		if ps := w.stats.Pairs[PairKey{From: from, To: to}]; ps != nil {
+			out = *ps
 		}
-		// Payload Msgs/Bytes live in the sending rank's shard; only a
-		// same-shard read is race-free (and mid-window cross-shard
-		// values would not be serial-equivalent anyway).  Mid-run
-		// consumers (move recovery accounting) diff only the transport
-		// counters above; full pair totals are merged into Stats.Pairs
-		// when the run completes.
-		if s := sr.shardOf(from); s == p.shard {
-			if ps := s.pairs[PairKey{From: from, To: to}]; ps != nil {
-				out.Msgs, out.Bytes = ps.Msgs, ps.Bytes
-			}
+		n.mu.Unlock()
+	}
+	// Payload Msgs/Bytes live in the sending rank's shard; only a
+	// same-shard read is race-free (and mid-window cross-shard values
+	// would not match a one-shard run anyway).  Mid-run consumers (move
+	// recovery accounting) diff only the transport counters above;
+	// full pair totals are merged into Stats.Pairs when the run
+	// completes.
+	if s := w.procs[from].shard; s == p.shard {
+		if ps := s.pairs[PairKey{From: from, To: to}]; ps != nil {
+			out.Msgs, out.Bytes = ps.Msgs, ps.Bytes
 		}
-		return out
 	}
-	if ps := w.stats.Pairs[PairKey{From: from, To: to}]; ps != nil {
-		return *ps
-	}
-	return PairStats{}
+	return out
 }
 
 // deliver applies receive-side costs: inbound link occupancy on the
@@ -673,14 +665,9 @@ func (p *Proc) yield() {
 	p.checkKilled()
 }
 
-// tcache returns the timer freelist of the scheduler that owns this
-// process: the world's in a serial run, the owning shard's otherwise.
-func (p *Proc) tcache() *timerCache {
-	if p.shard != nil {
-		return &p.shard.tc
-	}
-	return &p.world.tc
-}
+// tcache returns the timer freelist of the shard that owns this
+// process.
+func (p *Proc) tcache() *timerCache { return &p.shard.tc }
 
 func matches(m *message, src, tag int) bool {
 	if src != AnySource && m.src != src {

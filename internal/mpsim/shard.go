@@ -12,38 +12,48 @@ import (
 
 // Conservative parallel discrete-event scheduler.
 //
-// The world is partitioned into shards, each owning a contiguous,
-// node-aligned range of world ranks with its own run queue, timer heap
-// and timer freelist.  Shards advance together in lookahead windows:
-// the coordinator computes the globally earliest pending event M and a
-// window bound limit = min(M + lookahead, next global timer), and every
-// shard then executes — in parallel, using exactly the serial engine's
-// rules — all of its events that precede the bound in the run's total
-// event order.  The LogGP cost model makes this safe: any message a
-// shard sends while executing inside the window arrives no earlier
-// than its own position plus SendOverhead + Latency >= limit, so no
-// shard can be handed an event in its past.
+// This is the simulator's only scheduler.  The world is partitioned
+// into one or more shards, each owning a contiguous, node-aligned
+// range of world ranks with its own run queue, timer heap and timer
+// freelist.  Within a shard, the rules are: fire every due timer (one
+// at or before the earliest runnable clock) first, then resume the
+// runnable process with the smallest (clock, world rank).
+//
+// A one-shard run executes its whole world in a single unbounded
+// window, and its shard owns every timer.  An N-shard run advances in
+// lookahead windows: the coordinator computes the globally earliest
+// pending event M and a window bound limit = min(M + lookahead, next
+// global timer), and every shard then executes, in parallel, all of
+// its events that precede the bound in the run's total event order.
+// The LogGP cost model makes this safe: any message a shard sends
+// while executing inside the window arrives no earlier than its own
+// position plus SendOverhead + Latency >= limit, so no shard can be
+// handed an event in its past.  The transport, crash and join timers
+// of an N-shard run live on the coordinator's global heap and fire
+// between windows.
 //
 // Determinism is an invariant, not best effort.  Every pending event
 // has a position in one total order — (virtual time, class, world
 // rank, per-rank sequence number), where class orders timers before
-// process resumptions at the same instant, exactly like the serial
-// loop's "fire due timers first" rule — and both engines execute
-// events in that order.  Cross-shard interactions are confined to
-// positions the window protocol has already synchronized on, so a
-// sharded run is bit-identical to the serial one: same virtual-time
-// results, same trace streams, same stats.
+// process resumptions at the same instant — and every shard count
+// executes events in that order.  Cross-shard interactions are
+// confined to positions the window protocol has already synchronized
+// on, so an N-shard run is bit-identical to a one-shard run: same
+// virtual-time results, same trace timelines, same stats.
 //
 // Context discipline (what makes the -race run clean):
 //
-//   - Shard state (runq, local timers, proc queues/clocks, per-shard
-//     trace buffer and pair map) is touched only by the owning shard's
-//     worker, or by the coordinator while every worker is quiesced at
-//     a window barrier (the cmd/done channels give happens-before).
+//   - The coordinator goroutine runs shard 0's windows itself; every
+//     other shard has a worker goroutine.  Shard state (runq, local
+//     timers, proc queues/clocks, per-shard trace buffer and pair map)
+//     is touched only by whichever goroutine runs that shard, or by
+//     the coordinator while every worker is quiesced at a window
+//     barrier (the cmd/done channels give happens-before).
 //   - The coordinator's global heap and stats are touched by the
 //     coordinator, or by shards under netLayer.mu (the reliable
 //     transport's send path), which the coordinator never contends
-//     with because it only runs while shards are parked.
+//     with because it only fires global timers while shards are
+//     parked.
 //   - Cross-shard perfect-network messages are staged in the sending
 //     shard's outbox and moved into the destination shard's heap at
 //     the barrier.
@@ -51,19 +61,20 @@ import (
 //     viewing live application storage: sendImpl materializes any
 //     unmaterialized payload bound for another shard into its own
 //     pooled segment, so the destination shard only ever reads bytes
-//     the sending shard will never mutate again.  Same-shard and
-//     serial deliveries stay zero-copy.
+//     the sending shard will never mutate again.  Same-shard
+//     deliveries, which are all deliveries of a one-shard run, stay
+//     zero-copy.
 
 // autoShardWorlds is the world size at which a run with Config.Shards
 // == 0 and no MPSIM_SHARDS override starts sharding automatically.
-// Small worlds stay on the serial loop: the window barriers cost more
-// than the parallelism wins, and the gated perf benchmarks pin the
-// serial path's ns/op.
+// Small worlds stay on one shard: the window barriers cost more than
+// the parallelism wins, and the gated perf benchmarks pin the one-shard
+// path's ns/op.
 const autoShardWorlds = 256
 
 // evKey is one event's position in the run's total order.  cls is 0
-// for timers and 1 for process resumptions (the serial loop fires all
-// due timers before resuming an equal-clock process); the window bound
+// for timers and 1 for process resumptions (a shard fires all due
+// timers before resuming an equal-clock process); the window bound
 // uses cls -1 so that a bound at time t excludes every event at t.
 type evKey struct {
 	t    float64
@@ -91,10 +102,8 @@ func procKey(p *Proc) evKey    { return evKey{t: p.clock, cls: 1, rank: p.worldR
 var infKey = evKey{t: math.Inf(1)}
 
 // shard is one scheduler shard: a contiguous rank range with its own
-// run queue, timer heap, and freelist, advanced by one worker
-// goroutine.
+// run queue, timer heap, and freelist.
 type shard struct {
-	id     int
 	w      *World
 	lo, hi int // world-rank range [lo, hi)
 
@@ -112,8 +121,8 @@ type shard struct {
 	// events buffers this shard's ranks' trace events; merged after
 	// the run.
 	events []Event
-	// pairs buffers this shard's senders' payload pair counters;
-	// merged after the run.
+	// pairs buffers this shard's senders' payload pair counters
+	// (allocated on first use); merged after the run.
 	pairs map[PairKey]*PairStats
 
 	// out stages cross-shard perfect-network deliveries created during
@@ -124,10 +133,15 @@ type shard struct {
 
 	failure *runFailure
 
+	// cmd hands windows to the shard's worker goroutine; nil for
+	// shard 0, which the coordinator runs itself.
 	cmd chan evKey
 }
 
 func (s *shard) recordPair(from, to, bytes int) {
+	if s.pairs == nil {
+		s.pairs = make(map[PairKey]*PairStats)
+	}
 	k := PairKey{From: from, To: to}
 	ps := s.pairs[k]
 	if ps == nil {
@@ -161,15 +175,22 @@ func (s *shard) worker(done chan<- struct{}) {
 	}
 }
 
-// runWindow executes every shard event that precedes limit, using the
-// serial engine's exact rules: fire due timers (at <= next runnable
-// clock) first, then resume the earliest runnable process.
+// runWindow executes every shard event that precedes limit: fire due
+// timers (at <= next runnable clock) first, then resume the earliest
+// runnable process.  The window ends early once the shard has no live
+// process left — after the last one finishes or, in a one-shard run,
+// where crash timers fire inside the window, after a crash kills it —
+// because the run ends when no process is live: timers still pending
+// then are never fired.
 func (s *shard) runWindow(limit evKey) {
 	w := s.w
 	for {
 		for len(s.timers) > 0 && timerKey(s.timers[0]).less(limit) &&
 			(s.runq.Len() == 0 || s.timers[0].at <= s.runq[0].clock) {
 			w.fireTimer(heap.Pop(&s.timers).(*timer), &s.tc)
+			if s.live == 0 {
+				return
+			}
 		}
 		if s.runq.Len() == 0 || !procKey(s.runq[0]).less(limit) {
 			return
@@ -181,7 +202,7 @@ func (s *shard) runWindow(limit evKey) {
 		switch ev.p.state {
 		case stateDone:
 			w.noteDone(ev.p)
-			if s.failure != nil {
+			if s.failure != nil || s.live == 0 {
 				return
 			}
 		case stateRunnable:
@@ -194,36 +215,35 @@ func (s *shard) runWindow(limit evKey) {
 	}
 }
 
-// shardedRun is the parallel engine for one World.
+// shardedRun is the scheduler of one World.
 type shardedRun struct {
 	w         *World
-	shards    []*shard
-	byRank    []int // world rank -> shard index
-	lookahead float64
-	done      chan struct{}
+	shards    []shard
+	lookahead float64       // +Inf for a one-shard run
+	done      chan struct{} // worker window completions; nil for one shard
 }
-
-func (sr *shardedRun) shardOf(rank int) *shard { return sr.shards[sr.byRank[rank]] }
 
 // route registers a freshly stamped timer with the heap that may fire
 // it.  tMsg fires at its destination's shard: pushed directly when the
 // sender owns it, staged in the sender's outbox otherwise.  tWake is
 // the target process's own registration.  Every other kind (transport
-// packets, crash plumbing) is global: shard-side creators hold
-// netLayer.mu, and the coordinator only touches the heap while shards
-// are quiesced.
+// packets, crash plumbing, joins) belongs to the one shard of a
+// one-shard run and is global in an N-shard run: shard-side creators
+// hold netLayer.mu, and the coordinator only touches the global heap
+// while shards are quiesced.
 func (sr *shardedRun) route(tm *timer) {
-	switch tm.kind {
-	case tMsg:
-		src, dst := sr.byRank[tm.rank], sr.byRank[tm.dst]
+	switch {
+	case tm.kind == tMsg:
+		src, dst := sr.w.procs[tm.rank].shard, sr.w.procs[tm.dst].shard
 		if src == dst {
-			heap.Push(&sr.shards[dst].timers, tm)
+			heap.Push(&dst.timers, tm)
 		} else {
-			s := sr.shards[src]
-			s.out = append(s.out, tm)
+			src.out = append(src.out, tm)
 		}
-	case tWake:
+	case tm.kind == tWake:
 		heap.Push(&tm.p.shard.timers, tm)
+	case len(sr.shards) == 1:
+		heap.Push(&sr.shards[0].timers, tm)
 	default:
 		heap.Push(&sr.w.timers, tm)
 	}
@@ -232,7 +252,7 @@ func (sr *shardedRun) route(tm *timer) {
 // shardBounds partitions world ranks into up to n contiguous ranges
 // aligned to node boundaries (a node's processes exchange zero-latency
 // shared-memory messages, so splitting one would void the lookahead).
-// Returns the range starts; len < 2 means sharding degenerated.
+// Returns the range starts; a single start means one shard.
 func shardBounds(w *World, n int) []int {
 	bounds := []int{0}
 	size := len(w.procs)
@@ -250,10 +270,10 @@ func shardBounds(w *World, n int) []int {
 
 // resolveShards picks the shard count for a run: Config.Shards, then
 // the MPSIM_SHARDS environment variable, then auto-sharding of large
-// worlds across min(GOMAXPROCS, nodes).  Returns 1 (serial) whenever
-// sharding cannot preserve behavior: an observability tracer is
-// attached (obs.Tracer is single-threaded by design), or the machine
-// has no latency floor to derive lookahead from.
+// worlds across min(GOMAXPROCS, nodes).  Returns 1 (one shard)
+// whenever several shards cannot preserve behavior: an observability
+// tracer is attached (obs.Tracer is single-threaded by design), or the
+// machine has no latency floor to derive lookahead from.
 func (w *World) resolveShards(cfg Config) int {
 	// Validate the environment override before any early return: a
 	// typo'd MPSIM_SHARDS that was silently ignored would make every
@@ -323,8 +343,8 @@ func (w *World) safeLookahead() float64 {
 	return m.SendOverhead + la
 }
 
-// effectiveLookahead applies the Config.Lookahead override, clamped to
-// the safe bound (a larger window would let a shard outrun messages
+// effectiveLookahead applies a lookahead override, clamped to the safe
+// bound (a larger window would let a shard outrun messages
 // still in another shard's future).
 func (w *World) effectiveLookahead(override float64) float64 {
 	la := w.safeLookahead()
@@ -334,74 +354,60 @@ func (w *World) effectiveLookahead(override float64) float64 {
 	return la
 }
 
-// newShardedRun partitions the world and rebinds every process to its
-// shard.  Returns nil when partitioning degenerates to a single shard
-// (the caller falls back to the serial loop).
-func newShardedRun(w *World, n int, lookahead float64) *shardedRun {
+// partition splits the world into up to n shards and binds every
+// process to its shard.  A one-shard run gets an unbounded window;
+// an N-shard run gets the lookahead override (zero for none) clamped
+// to the safe bound.
+func (sr *shardedRun) partition(w *World, n int, lookahead float64) {
 	bounds := shardBounds(w, n)
-	if len(bounds) < 2 {
-		return nil
-	}
-	sr := &shardedRun{
-		w:         w,
-		byRank:    make([]int, len(w.procs)),
-		lookahead: lookahead,
-		done:      make(chan struct{}, len(bounds)),
+	sr.w = w
+	sr.shards = make([]shard, len(bounds))
+	sr.lookahead = math.Inf(1)
+	if len(bounds) > 1 {
+		sr.lookahead = w.effectiveLookahead(lookahead)
+		sr.done = make(chan struct{}, len(bounds)-1)
 	}
 	for i, lo := range bounds {
 		hi := len(w.procs)
 		if i+1 < len(bounds) {
 			hi = bounds[i+1]
 		}
-		s := &shard{
-			id:    i,
-			w:     w,
-			lo:    lo,
-			hi:    hi,
-			sched: make(chan schedEvent),
-			pairs: make(map[PairKey]*PairStats),
-			cmd:   make(chan evKey),
+		s := &sr.shards[i]
+		s.w, s.lo, s.hi = w, lo, hi
+		s.runq = make(procHeap, 0, hi-lo)
+		s.sched = make(chan schedEvent)
+		// Dormant (not-yet-joined) ranks count as live from t=0: their
+		// eventual completion is part of the run, and counting them
+		// keeps the run alive until their join timers fire even if
+		// every launched process finishes first.
+		s.live = hi - lo
+		if i > 0 {
+			s.cmd = make(chan evKey)
 		}
 		for r := lo; r < hi; r++ {
-			p := w.procs[r]
-			p.shard = s
-			p.sched = s.sched
-			sr.byRank[r] = i
+			w.procs[r].shard = s
+			w.procs[r].sched = s.sched
 		}
-		sr.shards = append(sr.shards, s)
 	}
-	// Move the serial run queue into the shard run queues.
-	for _, p := range w.procs {
-		p.heapIdx = -1
-	}
-	w.runq = w.runq[:0]
-	for _, s := range sr.shards {
-		for r := s.lo; r < s.hi; r++ {
-			// Dormant (not-yet-joined) ranks are launched by their join
-			// timers; they still count as live (see World.schedule).
-			if w.dormant(r) {
-				continue
-			}
-			heap.Push(&s.runq, w.procs[r])
-		}
-		s.live = s.hi - s.lo
-	}
-	return sr
 }
 
 // run is the coordinator loop: drain due global timers while shards
-// are quiesced, hand out one lookahead window, barrier, move staged
-// cross-shard deliveries, repeat.
+// are quiesced, hand out one lookahead window (running shard 0's
+// itself), barrier, move staged cross-shard deliveries, repeat.  A
+// one-shard run passes through the loop once per deadlock check: its
+// single window is unbounded.
 func (sr *shardedRun) run() {
 	w := sr.w
-	for _, s := range sr.shards {
-		go s.worker(sr.done)
+	workers := sr.shards[1:]
+	for i := range workers {
+		go workers[i].worker(sr.done)
 	}
 	defer func() {
-		for _, s := range sr.shards {
-			close(s.cmd)
+		for i := range workers {
+			close(workers[i].cmd)
 		}
 	}()
+	home := &sr.shards[0]
 	for {
 		if f := sr.collectFailure(); f != nil {
 			// Abandon the run; the panic in Run reports it.  Remaining
@@ -410,15 +416,15 @@ func (sr *shardedRun) run() {
 			return
 		}
 		live := 0
-		for _, s := range sr.shards {
-			live += s.live
+		for i := range sr.shards {
+			live += sr.shards[i].live
 		}
 		if live == 0 {
 			break
 		}
 		minKey := infKey
-		for _, s := range sr.shards {
-			if k := s.nextKey(); k.less(minKey) {
+		for i := range sr.shards {
+			if k := sr.shards[i].nextKey(); k.less(minKey) {
 				minKey = k
 			}
 		}
@@ -426,7 +432,7 @@ func (sr *shardedRun) run() {
 		// may wake processes or create new timers, so recompute per
 		// iteration.
 		if len(w.timers) > 0 && timerKey(w.timers[0]).less(minKey) {
-			w.fireTimer(heap.Pop(&w.timers).(*timer), &w.tc)
+			w.fireTimer(heap.Pop(&w.timers).(*timer), &home.tc)
 			continue
 		}
 		if math.IsInf(minKey.t, 1) {
@@ -439,18 +445,23 @@ func (sr *shardedRun) run() {
 			}
 		}
 		launched := 0
-		for _, s := range sr.shards {
-			if s.nextKey().less(limit) {
-				s.cmd <- limit
+		for i := range workers {
+			if workers[i].nextKey().less(limit) {
+				workers[i].cmd <- limit
 				launched++
 			}
+		}
+		if home.nextKey().less(limit) {
+			home.runWindow(limit)
 		}
 		for i := 0; i < launched; i++ {
 			<-sr.done
 		}
-		for _, s := range sr.shards {
+		for i := range sr.shards {
+			s := &sr.shards[i]
 			for _, tm := range s.out {
-				heap.Push(&sr.shardOf(tm.dst).timers, tm)
+				dst := w.procs[tm.dst].shard
+				heap.Push(&dst.timers, tm)
 			}
 			s.out = s.out[:0]
 		}
@@ -462,63 +473,62 @@ func (sr *shardedRun) run() {
 // the earliest virtual position (then lowest rank) so the abort is
 // deterministic even if several shards failed in one window.
 func (sr *shardedRun) collectFailure() *runFailure {
-	f := sr.w.failure
+	var f *runFailure
 	fClock := math.Inf(1)
-	for _, s := range sr.shards {
-		if s.failure == nil {
+	for i := range sr.shards {
+		sf := sr.shards[i].failure
+		if sf == nil {
 			continue
 		}
-		c := sr.w.procs[s.failure.rank].finalClock
-		if f == nil || c < fClock || (c == fClock && s.failure.rank < f.rank) {
-			f, fClock = s.failure, c
+		c := sr.w.procs[sf.rank].finalClock
+		if f == nil || c < fClock || (c == fClock && sf.rank < f.rank) {
+			f, fClock = sf, c
 		}
 	}
 	return f
 }
 
 // mergeStats folds per-shard results into the world's stats after all
-// workers have quiesced for the last time.
+// workers have quiesced for the last time.  A one-shard run's trace
+// keeps its execution order; an N-shard run's is merged into (time,
+// rank) order.
 func (sr *shardedRun) mergeStats() {
 	w := sr.w
-	for _, s := range sr.shards {
+	for i := range sr.shards {
+		s := &sr.shards[i]
 		if s.makespan > w.stats.MakespanSeconds {
 			w.stats.MakespanSeconds = s.makespan
 		}
-		for k, ps := range s.pairs {
-			t := w.stats.pair(k.From, k.To)
-			t.Msgs += ps.Msgs
-			t.Bytes += ps.Bytes
-		}
+		w.stats.adoptPairs(s.pairs)
 	}
-	if w.trace != nil {
-		total := len(w.trace.Events)
-		for _, s := range sr.shards {
-			total += len(s.events)
+	if w.trace == nil {
+		return
+	}
+	evs := sr.shards[0].events
+	if len(sr.shards) > 1 {
+		total := 0
+		for i := range sr.shards {
+			total += len(sr.shards[i].events)
 		}
-		evs := make([]Event, 0, total)
-		evs = append(evs, w.trace.Events...)
-		for _, s := range sr.shards {
-			evs = append(evs, s.events...)
+		evs = make([]Event, 0, total)
+		for i := range sr.shards {
+			evs = append(evs, sr.shards[i].events...)
 		}
 		// Per-rank subsequences are already in execution order (every
 		// rank's events land in one shard buffer), so a stable sort on
 		// (time, rank) yields the canonical stream: identical Timeline
-		// and ByRank views to a serial run.
+		// and ByRank views to a one-shard run.
 		sort.SliceStable(evs, func(a, b int) bool {
 			if evs[a].Time != evs[b].Time {
 				return evs[a].Time < evs[b].Time
 			}
 			return evs[a].Rank < evs[b].Rank
 		})
-		w.trace.Events = evs
 	}
+	w.trace.Events = evs
 }
 
-// Shards reports how many scheduler shards this run is using (1 for
-// the serial loop); harness code records it next to results.
-func (w *World) Shards() int {
-	if w.sh == nil {
-		return 1
-	}
-	return len(w.sh.shards)
-}
+// Shards reports how many scheduler shards this run is using (1 for a
+// run whose whole world is one shard); harness code records it next to
+// results.
+func (w *World) Shards() int { return len(w.sh.shards) }

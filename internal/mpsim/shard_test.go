@@ -39,20 +39,20 @@ func ringConfig(shards int) Config {
 	}
 }
 
-// TestShardedMatchesSerialRing pins the core tentpole property on a
-// cross-shard-heavy workload: a sharded run produces the same virtual
-// makespan and the same trace timeline as the serial scheduler.
+// TestShardedMatchesSerialRing pins the core sharding property on a
+// cross-shard-heavy workload: a 4-shard run produces the same virtual
+// makespan and the same trace timeline as a one-shard run.
 func TestShardedMatchesSerialRing(t *testing.T) {
-	serial := Run(ringConfig(1))
+	oneShard := Run(ringConfig(1))
 	sharded := Run(ringConfig(4))
-	if sharded.MakespanSeconds != serial.MakespanSeconds {
-		t.Errorf("makespan: sharded %v, serial %v", sharded.MakespanSeconds, serial.MakespanSeconds)
+	if sharded.MakespanSeconds != oneShard.MakespanSeconds {
+		t.Errorf("makespan: sharded %v, one shard %v", sharded.MakespanSeconds, oneShard.MakespanSeconds)
 	}
-	if got, want := sharded.Trace.Timeline(), serial.Trace.Timeline(); got != want {
+	if got, want := sharded.Trace.Timeline(), oneShard.Trace.Timeline(); got != want {
 		t.Errorf("timelines diverge:\nsharded:\n%s\nserial:\n%s", got, want)
 	}
-	if sharded.TotalMsgs() != serial.TotalMsgs() {
-		t.Errorf("msgs: sharded %d, serial %d", sharded.TotalMsgs(), serial.TotalMsgs())
+	if sharded.TotalMsgs() != oneShard.TotalMsgs() {
+		t.Errorf("msgs: sharded %d, one shard %d", sharded.TotalMsgs(), oneShard.TotalMsgs())
 	}
 }
 
@@ -77,22 +77,22 @@ func TestShardedGOMAXPROCSIndependent(t *testing.T) {
 // lookahead far below the machine's latency floor forces many tiny
 // windows, which must not change any result.
 func TestShardedTinyLookahead(t *testing.T) {
-	serial := Run(ringConfig(1))
+	oneShard := Run(ringConfig(1))
 	cfg := ringConfig(4)
-	cfg.Lookahead = 1e-7 // SP2 latency is ~40us; thousands of windows
+	cfg.lookahead = 1e-7 // SP2 latency is ~40us; thousands of windows
 	tiny := Run(cfg)
-	if tiny.MakespanSeconds != serial.MakespanSeconds {
-		t.Errorf("makespan: tiny-lookahead %v, serial %v", tiny.MakespanSeconds, serial.MakespanSeconds)
+	if tiny.MakespanSeconds != oneShard.MakespanSeconds {
+		t.Errorf("makespan: tiny-lookahead %v, one shard %v", tiny.MakespanSeconds, oneShard.MakespanSeconds)
 	}
-	if got, want := tiny.Trace.Timeline(), serial.Trace.Timeline(); got != want {
-		t.Error("tiny-lookahead timeline diverges from serial")
+	if got, want := tiny.Trace.Timeline(), oneShard.Trace.Timeline(); got != want {
+		t.Error("tiny-lookahead timeline diverges from one shard")
 	}
 }
 
 // TestIntraShardBypass pins the local-traffic fast path: a world of
 // independent per-program rings with no cross-program traffic maps
 // each program into (at most) one shard, so every message should take
-// the serial immediate-enqueue path and match the serial run exactly.
+// the immediate-enqueue path and match the one-shard run exactly.
 func TestIntraShardBypass(t *testing.T) {
 	mk := func(shards int) Config {
 		progs := make([]ProgramSpec, 4)
@@ -104,13 +104,13 @@ func TestIntraShardBypass(t *testing.T) {
 		}
 		return Config{Machine: SP2(), Programs: progs, Trace: true, Shards: shards}
 	}
-	serial := Run(mk(1))
+	oneShard := Run(mk(1))
 	sharded := Run(mk(4))
-	if sharded.MakespanSeconds != serial.MakespanSeconds {
-		t.Errorf("makespan: sharded %v, serial %v", sharded.MakespanSeconds, serial.MakespanSeconds)
+	if sharded.MakespanSeconds != oneShard.MakespanSeconds {
+		t.Errorf("makespan: sharded %v, one shard %v", sharded.MakespanSeconds, oneShard.MakespanSeconds)
 	}
-	if got, want := sharded.Trace.Timeline(), serial.Trace.Timeline(); got != want {
-		t.Error("intra-shard timeline diverges from serial")
+	if got, want := sharded.Trace.Timeline(), oneShard.Trace.Timeline(); got != want {
+		t.Error("intra-shard timeline diverges from one shard")
 	}
 }
 
@@ -118,7 +118,7 @@ func TestIntraShardBypass(t *testing.T) {
 func TestResolveShards(t *testing.T) {
 	w := &World{nodes: make([]*node, 16), procs: make([]*Proc, 16), machine: SP2()}
 	if got := w.resolveShards(Config{Shards: -1}); got != 1 {
-		t.Errorf("negative Shards: got %d, want 1 (serial)", got)
+		t.Errorf("negative Shards: got %d, want 1 (one shard)", got)
 	}
 	if got := w.resolveShards(Config{Shards: 8}); got != 8 {
 		t.Errorf("explicit Shards=8: got %d", got)
@@ -131,7 +131,7 @@ func TestResolveShards(t *testing.T) {
 		t.Errorf("MPSIM_SHARDS=3: got %d", got)
 	}
 	t.Setenv("MPSIM_SHARDS", "")
-	// Small world, no env: stays serial.
+	// Small world, no env: stays on one shard.
 	if got := w.resolveShards(Config{}); got != 1 {
 		t.Errorf("small world auto: got %d, want 1", got)
 	}
@@ -145,7 +145,7 @@ func TestResolveShards(t *testing.T) {
 // TestResolveShardsRejectsBadEnv pins the fail-fast contract: a
 // non-integer or negative MPSIM_SHARDS panics with a clear error
 // instead of being silently ignored, even on runs that would have
-// stayed serial anyway.
+// stayed on one shard anyway.
 func TestResolveShardsRejectsBadEnv(t *testing.T) {
 	w := &World{nodes: make([]*node, 16), procs: make([]*Proc, 16), machine: SP2()}
 	expectPanic := func(env, wantSub string) {
@@ -184,5 +184,22 @@ func TestSafeLookaheadFloor(t *testing.T) {
 	}
 	if got := w.effectiveLookahead(safe / 4); got != safe/4 {
 		t.Errorf("small override not honored: got %v", got)
+	}
+}
+
+// TestRunAllocs bounds the fixed cost of one Run: a one-shard run must
+// allocate no more than the serial loop it replaced did (these bounds
+// are that loop's counts on go1.24.0).  The coordinator runs the shard's
+// window itself, so a one-shard run adds no worker goroutine, channels
+// or second pair map.
+func TestRunAllocs(t *testing.T) {
+	t.Setenv("MPSIM_SHARDS", "") // these small worlds default to one shard
+	for _, tc := range []struct{ n, max int }{{2, 40}, {8, 115}, {16, 209}} {
+		got := testing.AllocsPerRun(20, func() {
+			RunSPMD(SP2(), tc.n, func(p *Proc) { p.Comm().Barrier() })
+		})
+		if int(got) > tc.max {
+			t.Errorf("n=%d: %v allocs per Run, want <= %d", tc.n, got, tc.max)
+		}
 	}
 }

@@ -76,10 +76,22 @@ func (s *Stats) pair(from, to int) *PairStats {
 	return ps
 }
 
-func (s *Stats) recordPair(from, to, bytes int) {
-	ps := s.pair(from, to)
-	ps.Msgs++
-	ps.Bytes += int64(bytes)
+// adoptPairs folds a shard's payload pair counters into s after the
+// run.  The shard's entries are taken over rather than copied: the
+// whole map when s has none yet, otherwise each key s lacks.
+func (s *Stats) adoptPairs(m map[PairKey]*PairStats) {
+	if s.Pairs == nil {
+		s.Pairs = m
+		return
+	}
+	for k, ps := range m {
+		if t := s.Pairs[k]; t != nil {
+			t.Msgs += ps.Msgs
+			t.Bytes += ps.Bytes
+		} else {
+			s.Pairs[k] = ps
+		}
+	}
 }
 
 // TotalMsgs returns the total number of messages sent during the run.

@@ -99,8 +99,12 @@ type Event struct {
 	Bytes int
 }
 
-// Trace is the recorded event sequence of one run, in the order the
-// scheduler executed the operations (globally deterministic).
+// Trace is the recorded event sequence of one run.  A one-shard run
+// records Events in the order the scheduler executed the operations;
+// an N-shard run records the same events ordered by (Time, Rank), each
+// rank's events still in execution order.  Both orders are
+// deterministic, and Timeline and ByRank render identically for every
+// shard count.
 type Trace struct {
 	Events []Event
 }
@@ -146,20 +150,16 @@ func (t *Trace) Sends() int {
 	return n
 }
 
-// record appends an event if tracing is enabled, and mirrors it into
-// the observability layer if a tracer is attached.  In a sharded run
-// the event goes to the acting rank's shard-local buffer (coordinator
-// contexts append there too, which is safe: the coordinator only runs
-// while every shard is quiesced at a window barrier); the buffers are
-// merged into the trace when the run completes.
+// record appends an event to the acting rank's shard buffer if
+// tracing is enabled, and mirrors it into the observability layer if a
+// tracer is attached.  Coordinator contexts append to shard buffers
+// too, which is safe: the coordinator only fires timers while every
+// worker is quiesced at a window barrier.  The buffers are merged into
+// the trace when the run completes.
 func (w *World) record(e Event) {
 	if w.trace != nil {
-		if w.sh != nil {
-			s := w.sh.shardOf(e.Rank)
-			s.events = append(s.events, e)
-		} else {
-			w.trace.Events = append(w.trace.Events, e)
-		}
+		s := w.procs[e.Rank].shard
+		s.events = append(s.events, e)
 	}
 	if w.obs != nil {
 		w.obsEvent(e)
@@ -167,12 +167,8 @@ func (w *World) record(e Event) {
 }
 
 // recordPairFor charges one payload message from p to world rank to.
-// Sharded runs keep per-shard pair maps (merged post-run) because the
-// perfect-network send path does not hold the net-layer lock.
+// Pair counters live in the sender's shard (merged post-run) because
+// the perfect-network send path does not hold the net-layer lock.
 func (w *World) recordPairFor(p *Proc, to, bytes int) {
-	if s := p.shard; s != nil {
-		s.recordPair(p.worldRank, to, bytes)
-		return
-	}
-	w.stats.recordPair(p.worldRank, to, bytes)
+	p.shard.recordPair(p.worldRank, to, bytes)
 }

@@ -56,19 +56,20 @@ type Config struct {
 	// the plan start dormant and launch their program bodies at
 	// scheduled virtual times.  See join.go for the membership model.
 	Join JoinPlan
-	// Shards selects the scheduler: 1 (or negative) forces the serial
-	// loop, N > 1 requests N parallel scheduler shards, and 0 (the
-	// default) consults the MPSIM_SHARDS environment variable and then
-	// auto-shards worlds of >= 256 ranks across min(GOMAXPROCS,
-	// nodes).  Sharded runs are bit-identical to serial ones; see
-	// shard.go.
+	// Shards selects how many scheduler shards run the world: 1 (or
+	// negative) runs it as one shard with an unbounded window, N > 1
+	// requests N parallel shards, and 0 (the default) consults the
+	// MPSIM_SHARDS environment variable and then auto-shards worlds of
+	// >= 256 ranks across min(GOMAXPROCS, nodes).  Every shard count
+	// yields bit-identical results; see shard.go.
 	Shards int
-	// Lookahead caps a sharded run's conservative lookahead window in
+
+	// lookahead caps an N-shard run's conservative lookahead window in
 	// virtual seconds.  Zero derives the largest safe window from the
-	// machine's latency floor; smaller explicit values are honored
-	// (useful for stressing the window protocol), larger ones are
-	// clamped to the safe bound.
-	Lookahead float64
+	// machine's latency floor; smaller values are honored (tests use
+	// them to stress the window protocol), larger ones are clamped to
+	// the safe bound.
+	lookahead float64
 }
 
 // World is the simulated machine state for one run.  It owns every
@@ -83,27 +84,23 @@ type World struct {
 	progNames []string
 	progRanks map[string][]int
 
-	runq    procHeap
-	resume  chan *Proc // scheduler -> proc handoff target (per-proc channel used instead)
-	toSched chan schedEvent
-
 	// Observability (nil when Config.Obs was nil).  Counters are
 	// resolved once here so per-message accounting never hits the
 	// registry maps.
 	obs  *obs.Tracer
 	obsC obsCounters
 
-	// Virtual-time events (deliveries, retransmissions, acks, receive
-	// deadlines), interleaved with process execution by the scheduler.
+	// timers is the coordinator's global heap: the transport, crash and
+	// join timers of an N-shard run.  A one-shard run's shard owns every
+	// timer, so there it stays empty.
 	timers timerHeap
 	// tseq[r] is rank r's per-rank timer sequence counter: the third key
 	// of the event total order (time, rank, seq).  Each rank registers
 	// its timers in virtual-position order in both engines, so the
-	// numbering — and therefore every tie-break — is engine-invariant.
+	// numbering — and therefore every tie-break — is invariant under
+	// the shard count.
 	tseq []int
-	// tc is the serial engine's timer freelist; shards carry their own.
-	tc  timerCache
-	net *netLayer
+	net  *netLayer
 
 	// pool backs the zero-copy data plane: every payload and pooled
 	// segment moving through this world comes from here.
@@ -116,16 +113,14 @@ type World struct {
 	// forever; receivers overflow here and senders refill from here.
 	msgPool sync.Pool
 
-	// sh is the sharded parallel engine, nil for serial runs.
-	sh *shardedRun
+	// sh is the scheduler: the world's ranks partitioned into one or
+	// more shards.
+	sh shardedRun
 
 	// Crash-fault state (nil when Config.Crash was nil).
 	crash *crashState
 	// Elastic-growth state (nil when Config.Join was nil).
 	join *joinState
-	// live is the number of processes that have not finished (crashed
-	// processes leave it; restarts rejoin it).
-	live int
 
 	failure *runFailure
 }
@@ -166,14 +161,7 @@ func Run(cfg Config) *Stats {
 	if err != nil {
 		panic(err)
 	}
-	if n := w.resolveShards(cfg); n > 1 {
-		w.sh = newShardedRun(w, n, w.effectiveLookahead(cfg.Lookahead))
-	}
-	if w.sh != nil {
-		w.sh.run()
-	} else {
-		w.schedule()
-	}
+	w.sh.run()
 	if w.failure != nil {
 		panic(fmt.Sprintf("mpsim: program %q rank %d panicked: %v",
 			w.failure.prog, w.failure.rank, w.failure.err))
@@ -208,7 +196,6 @@ func newWorld(cfg Config) (*World, error) {
 	}
 	w := &World{
 		machine:   cfg.Machine,
-		toSched:   make(chan schedEvent),
 		progRanks: make(map[string][]int),
 		pool:      bufpool.New(),
 	}
@@ -249,7 +236,6 @@ func newWorld(cfg Config) (*World, error) {
 				progName:  spec.Name,
 				node:      w.nodes[nid],
 				resume:    make(chan struct{}),
-				sched:     w.toSched,
 				state:     stateRunnable,
 				heapIdx:   -1,
 			}
@@ -281,27 +267,24 @@ func newWorld(cfg Config) (*World, error) {
 	}
 	w.stats.PerRank = make([]RankStats, len(w.procs))
 	w.tseq = make([]int, len(w.procs))
+	// Partition before the crash and join plans register their timers:
+	// the partition decides which heap owns them.
+	w.sh.partition(w, w.resolveShards(cfg), cfg.lookahead)
 	if cfg.Crash != nil {
 		w.initCrash(cfg.Crash, cfg.Detect, cfg.Programs)
 	}
 	if cfg.Join != nil {
 		w.initJoin(cfg.Join, cfg.Programs)
 	}
-	// Launch every process goroutine; each immediately parks waiting for
-	// the scheduler to resume it.  Dormant ranks (pending joins) are
-	// launched by their join timers instead.
+	// Launch every process goroutine and queue it on its shard; each
+	// immediately parks waiting for the scheduler to resume it.  Dormant
+	// ranks (pending joins) are launched by their join timers instead.
 	for _, p := range w.procs {
 		if w.dormant(p.worldRank) {
 			continue
 		}
 		w.launchProc(p, cfg.Programs[p.progIndex].Body)
-	}
-	heap.Init(&w.runq)
-	for _, p := range w.procs {
-		if w.dormant(p.worldRank) {
-			continue
-		}
-		heap.Push(&w.runq, p)
+		heap.Push(&p.shard.runq, p)
 	}
 	return w, nil
 }
@@ -315,13 +298,8 @@ func (w *World) launchProc(p *Proc, body func(p *Proc)) {
 		defer func() {
 			if r := recover(); r != nil {
 				if _, crashed := r.(crashPanic); !crashed {
-					f := &runFailure{rank: p.worldRank, prog: p.progName, err: r}
-					if s := p.shard; s != nil {
-						if s.failure == nil {
-							s.failure = f
-						}
-					} else if w.failure == nil {
-						w.failure = f
+					if s := p.shard; s.failure == nil {
+						s.failure = &runFailure{rank: p.worldRank, prog: p.progName, err: r}
 					}
 				}
 			}
@@ -331,51 +309,6 @@ func (w *World) launchProc(p *Proc, body func(p *Proc)) {
 		}()
 		body(p)
 	}()
-}
-
-// schedule is the cooperative scheduler loop.  It always resumes the
-// runnable process with the smallest virtual clock (ties broken by world
-// rank), which makes runs deterministic and keeps link reservations in
-// near-causal order.
-func (w *World) schedule() {
-	// Dormant (not-yet-joined) ranks count as live from t=0: their
-	// eventual completion is part of the run, and counting them keeps
-	// the loop alive until their join timers fire even if every launched
-	// process finishes first.
-	w.live = len(w.procs)
-	for w.live > 0 {
-		if w.failure != nil {
-			// Abandon the run: remaining processes are simply not
-			// resumed again.  Their goroutines leak for the lifetime of
-			// the test process, which is acceptable for a failed run
-			// that is about to panic anyway.
-			return
-		}
-		// Fire due virtual-time events first: every event at or before
-		// the next runnable process's clock, and all of them while no
-		// process is runnable (an event may wake one).
-		for len(w.timers) > 0 && (w.runq.Len() == 0 || w.timers[0].at <= w.runq[0].clock) {
-			w.fireTimer(heap.Pop(&w.timers).(*timer), &w.tc)
-		}
-		if w.runq.Len() == 0 {
-			w.panicDeadlock()
-		}
-		p := heap.Pop(&w.runq).(*Proc)
-		p.state = stateRunning
-		p.resume <- struct{}{}
-		ev := <-w.toSched
-		switch ev.p.state {
-		case stateDone:
-			w.noteDone(ev.p)
-		case stateRunnable:
-			heap.Push(&w.runq, ev.p)
-		case stateBlocked:
-			// Parked until a matching message arrives; a sender will
-			// move it back to the run queue.
-		default:
-			panic("mpsim: internal error: yielded process in unexpected state")
-		}
-	}
 }
 
 func (w *World) panicDeadlock() {
@@ -408,39 +341,25 @@ func (w *World) panicDeadlock() {
 	panic(msg)
 }
 
-// wake moves a blocked process back to its run queue.
+// wake moves a blocked process back to its shard's run queue.
 func (w *World) wake(p *Proc) {
 	p.state = stateRunnable
-	if s := p.shard; s != nil {
-		heap.Push(&s.runq, p)
-		return
-	}
-	heap.Push(&w.runq, p)
+	heap.Push(&p.shard.runq, p)
 }
 
 // removeFromRunq pulls a queued process out of its run queue (crash
 // reaping).
 func (w *World) removeFromRunq(p *Proc) {
-	if s := p.shard; s != nil {
-		heap.Remove(&s.runq, p.heapIdx)
-		return
-	}
-	heap.Remove(&w.runq, p.heapIdx)
+	heap.Remove(&p.shard.runq, p.heapIdx)
 }
 
-// noteDone settles a finished (or crash-unwound) process: live count
-// and makespan, in whichever scheduler owns it.
+// noteDone settles a finished (or crash-unwound) process: its shard's
+// live count and makespan.
 func (w *World) noteDone(p *Proc) {
-	if s := p.shard; s != nil {
-		s.live--
-		if p.finalClock > s.makespan {
-			s.makespan = p.finalClock
-		}
-		return
-	}
-	w.live--
-	if p.finalClock > w.stats.MakespanSeconds {
-		w.stats.MakespanSeconds = p.finalClock
+	s := p.shard
+	s.live--
+	if p.finalClock > s.makespan {
+		s.makespan = p.finalClock
 	}
 }
 

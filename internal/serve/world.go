@@ -128,11 +128,11 @@ func newRunner(cfg runnerConfig) *runner {
 
 // run executes the world to completion, converting a simulation panic
 // into ErrWorldFailed for everyone waiting on this runner.  Shards is
-// left on automatic: small worlds run the serial scheduler, soak-scale
-// worlds (≥256 union ranks) shard — the leader blocking on the batch
+// left on automatic: small worlds run as one shard, soak-scale worlds
+// (≥256 union ranks) as several — the leader blocking on the batch
 // channel is safe either way, because a proc waiting on external input
-// is running (not Recv-blocked), so neither scheduler's deadlock
-// detector can trip on it.
+// is running (not Recv-blocked), so the scheduler's deadlock detector
+// cannot trip on it.
 func (r *runner) run() {
 	defer close(r.done)
 	defer func() {
