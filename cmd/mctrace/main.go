@@ -1,34 +1,39 @@
-// Command mctrace runs a representative workload and prints its
-// communication structure: the process-pair message matrix, per-rank
-// traffic, and the virtual makespan.  It is the quickest way to see
-// what a Meta-Chaos schedule actually puts on the wire.
+// Command mctrace runs a representative workload and reports what it
+// did: by default (-format text) the process-pair message matrix,
+// per-rank traffic and the virtual makespan — what a Meta-Chaos
+// schedule actually puts on the wire.  -format chrome, collapsed or
+// phases attaches the virtual-time observability layer and exports the
+// run's spans instead: trace-event JSON for chrome://tracing or
+// Perfetto, collapsed stacks for flamegraph.pl, or per-phase totals
+// plus counters and histograms.  Output is byte-identical across runs.
 //
-// With -fault the run goes over a deterministically faulty network;
-// add -reliable to let the retransmitting transport recover, and the
-// report grows drop/retransmit/duplicate/corruption counters.
+// Workloads: section and remap (regular HPF section copy, irregular
+// CHAOS remap; -procs), mesh (the Table-5 Multiblock Parti section
+// move, one schedule reused -iters times; -procs, -n), figure10 (one
+// client, -server-procs servers, -vectors vectors) and elastic (a
+// server rank dies mid-run and the survivors detect, shrink, restore
+// and finish; -server-procs, -iters, -seed picks the crash).
 //
-// With -crash rank@time (or a crash-scheduling profile such as
-// -fault crashy) a process suffers a fail-stop fault mid-run: the
-// virtual-time heartbeat detector declares it dead, survivors' blocked
-// operations fail fast, and the report grows the crash history with
-// detection lags plus each survivor's outcome.
-//
-// With -phases the run carries the virtual-time observability layer
-// and the report ends with the per-phase breakdown (schedule build,
-// pack, ship, wait, unpack, ...) that cmd/mcprof exports as timelines.
+// -fault runs over a deterministically faulty network; -reliable lets
+// the retransmitting transport recover.  -crash rank@time (or a
+// crash-scheduling profile such as -fault crashy) kills a section,
+// remap or mesh rank mid-run, and the report grows the crash history
+// and each survivor's outcome.
 //
 // Usage:
 //
-//	mctrace -workload remap|section|clientserver [-procs N]
 //	mctrace -workload section -fault lossy -seed 7 -reliable
 //	mctrace -workload section -crash 2@0.004 -reliable
-//	mctrace -workload remap -fault crashy -seed 3 -reliable
-//	mctrace -workload section -phases
+//	mctrace -workload figure10 -format chrome -o trace.json
+//	mctrace -workload mesh -procs 8 -format collapsed | flamegraph.pl > flame.svg
+//	mctrace -workload elastic -server-procs 4 -format phases
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -44,19 +49,35 @@ import (
 )
 
 func main() {
-	workload := flag.String("workload", "section", "workload to trace: section, remap or clientserver")
-	procs := flag.Int("procs", 4, "process count (per program for clientserver)")
+	workload := flag.String("workload", "section", "workload: section, remap, mesh, figure10 or elastic")
+	procs := flag.Int("procs", 4, "process count (section, remap and mesh workloads)")
+	serverProcs := flag.Int("server-procs", 2, "server process count (figure10 and elastic workloads)")
+	vectors := flag.Int("vectors", 1, "vectors shipped through the coupling (figure10 workload)")
+	size := flag.Int("n", 256, "mesh dimension (mesh workload)")
+	iters := flag.Int("iters", 4, "schedule reuses (mesh workload) or solver iterations (elastic)")
 	fault := flag.String("fault", "none", "fault profile: none, mild, lossy, random, crashy or flaky")
-	seed := flag.Uint64("seed", 1, "fault profile seed")
+	seed := flag.Uint64("seed", 1, "fault profile seed; for the elastic workload the crash-site seed (default 7 there)")
 	reliable := flag.Bool("reliable", false, "enable the retransmitting reliable transport")
 	crash := flag.String("crash", "", "schedule fail-stop crashes: rank@time[,rank@time...], e.g. 2@0.004")
-	phases := flag.Bool("phases", false, "attach the observability layer and print per-phase virtual-time totals")
+	format := flag.String("format", "text", "output format: text, chrome, collapsed or phases")
+	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
+	seedSet := false
+	flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
+
+	export, ok := map[string]func(*obs.Tracer, io.Writer) error{
+		"text":      nil,
+		"chrome":    (*obs.Tracer).WriteChromeTrace,
+		"collapsed": (*obs.Tracer).WriteCollapsed,
+		"phases":    (*obs.Tracer).WriteReport,
+	}[*format]
+	if !ok {
+		fail(2, "unknown format %q", *format)
+	}
 
 	prof, err := faultsim.ByName(*fault, *seed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mctrace: %v\n", err)
-		os.Exit(2)
+		fail(2, "%v", err)
 	}
 	if *crash != "" {
 		if prof == nil {
@@ -65,8 +86,7 @@ func main() {
 		for _, spec := range strings.Split(*crash, ",") {
 			rank, at, err := parseCrash(spec)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "mctrace: -crash %q: %v\n", spec, err)
-				os.Exit(2)
+				fail(2, "-crash %q: %v", spec, err)
 			}
 			prof = prof.WithCrash(rank, at)
 		}
@@ -80,13 +100,15 @@ func main() {
 		rel = &mpsim.Reliability{}
 	}
 	var tr *obs.Tracer
-	if *phases {
+	if export != nil {
 		tr = obs.NewTracer()
 	}
 	crashes := prof.HasCrashes()
-	if crashes && *workload == "clientserver" {
-		fmt.Fprintln(os.Stderr, "mctrace: the clientserver workload does not take crash faults; see the elastic experiment (mcprof -workload elastic)")
-		os.Exit(2)
+	if crashes && *workload == "figure10" {
+		fail(2, "the figure10 workload does not take crash faults; see -workload elastic")
+	}
+	if *workload == "elastic" && (prof != nil || *reliable) {
+		fail(2, "the elastic workload schedules its own crash on a perfect network; drop -fault, -crash and -reliable")
 	}
 	var outcomes []string
 	runSPMD := func(nprocs int, body func(p *mpsim.Proc)) *mpsim.Stats {
@@ -119,35 +141,80 @@ func main() {
 	var stats *metachaos.Stats
 	switch *workload {
 	case "section":
-		stats = traceSection(runSPMD, *procs)
+		stats = runSPMD(*procs, sectionBody(*procs))
 	case "remap":
-		stats = traceRemap(runSPMD, *procs)
-	case "clientserver":
+		stats = runSPMD(*procs, remapBody(*procs))
+	case "mesh":
+		stats = runSPMD(*procs, exp.SectionMeshBody(*size, *procs, *iters))
+	case "figure10":
 		stats = exp.RunClientServerStats(exp.CSConfig{
-			ClientProcs: 1, ServerProcs: *procs, Vectors: 1,
+			ClientProcs: 1, ServerProcs: *serverProcs, Vectors: *vectors,
 			Fault: inj, Reliable: *reliable, Obs: tr,
 		})
-	default:
-		fmt.Fprintf(os.Stderr, "mctrace: unknown workload %q\n", *workload)
-		os.Exit(2)
-	}
-	report(stats)
-	reportCrashes(stats, outcomes)
-	if tr != nil {
-		fmt.Println()
-		if err := tr.WriteReport(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "mctrace: %v\n", err)
-			os.Exit(1)
+	case "elastic":
+		if !seedSet {
+			*seed = 7
 		}
+		res := exp.RunElasticCrash(exp.ElasticConfig{ServerProcs: *serverProcs, Iters: *iters, Seed: *seed, Obs: tr})
+		for _, c := range res.Crashes {
+			fmt.Fprintf(os.Stderr, "mctrace: rank %d died at %.3fms, detected at %.3fms; %d shrink(s), %d restore(s), %d server(s) finished\n",
+				c.Rank, c.At*1000, c.DetectedAt*1000, res.Shrinks, res.Restores, res.Survivors)
+		}
+		stats = res.Stats
+	default:
+		fail(2, "unknown workload %q", *workload)
+	}
+	if n := tr.OpenSpans(); n != 0 {
+		fail(1, "%d spans left open after the run", n)
+	}
+
+	err = writeOutput(*out, func(w io.Writer) error {
+		if export != nil {
+			return export(tr, w)
+		}
+		report(w, stats)
+		reportCrashes(w, stats, outcomes)
+		return nil
+	})
+	if err != nil {
+		fail(1, "%v", err)
 	}
 }
 
-type runner func(nprocs int, body func(p *mpsim.Proc)) *mpsim.Stats
+// fail reports an error and exits with the given status.
+func fail(status int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "mctrace: "+format+"\n", args...)
+	os.Exit(status)
+}
 
-// traceSection runs a regular section copy between two block arrays.
-func traceSection(run runner, nprocs int) *metachaos.Stats {
+// writeOutput runs write against a buffered stdout or, with a path,
+// a new file.  The buffer is flushed and the file closed on every
+// path; the first error of the write, the flush and the close wins.
+func writeOutput(path string, write func(io.Writer) error) error {
+	f := os.Stdout
+	if path != "" {
+		var err error
+		if f, err = os.Create(path); err != nil {
+			return err
+		}
+	}
+	bw := bufio.NewWriter(f)
+	err := write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if path != "" {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// sectionBody is a regular section copy between two block arrays.
+func sectionBody(nprocs int) func(p *mpsim.Proc) {
 	const n = 64
-	return run(nprocs, func(p *mpsim.Proc) {
+	return func(p *mpsim.Proc) {
 		ctx := metachaos.NewCtx(p, p.Comm())
 		src := metachaos.NewHPFArray(metachaos.Block2D(n, n, nprocs), p.Rank())
 		dst := metachaos.NewHPFArray(metachaos.Block2D(n, n, nprocs), p.Rank())
@@ -162,13 +229,13 @@ func traceSection(run runner, nprocs int) *metachaos.Stats {
 			panic(err)
 		}
 		sched.Move(src, dst)
-	})
+	}
 }
 
-// traceRemap runs an irregular remap (translation-table traffic).
-func traceRemap(run runner, nprocs int) *metachaos.Stats {
+// remapBody is an irregular remap (translation-table traffic).
+func remapBody(nprocs int) func(p *mpsim.Proc) {
 	const n = 1024
-	return run(nprocs, func(p *mpsim.Proc) {
+	return func(p *mpsim.Proc) {
 		ctx := core.NewCtx(p, p.Comm())
 		// Stride permutation as the "bad" initial distribution.
 		var mine []int32
@@ -187,32 +254,32 @@ func traceRemap(run runner, nprocs int) *metachaos.Stats {
 		if _, err := chaoslib.Remap(ctx, x, contiguous); err != nil {
 			panic(err)
 		}
-	})
+	}
 }
 
-func report(st *metachaos.Stats) {
-	fmt.Printf("machine: %s\n", st.Machine)
-	fmt.Printf("virtual makespan: %.3f ms\n", st.MakespanSeconds*1000)
-	fmt.Printf("total: %d messages, %d bytes\n\n", st.TotalMsgs(), st.TotalBytes())
+func report(w io.Writer, st *metachaos.Stats) {
+	fmt.Fprintf(w, "machine: %s\n", st.Machine)
+	fmt.Fprintf(w, "virtual makespan: %.3f ms\n", st.MakespanSeconds*1000)
+	fmt.Fprintf(w, "total: %d messages, %d bytes\n\n", st.TotalMsgs(), st.TotalBytes())
 
-	fmt.Println("per-rank traffic:")
+	fmt.Fprintln(w, "per-rank traffic:")
 	for r := range st.PerRank {
 		rs := st.PerRank[r]
-		fmt.Printf("  rank %2d: sent %5d msgs / %8d B   recv %5d msgs / %8d B\n",
+		fmt.Fprintf(w, "  rank %2d: sent %5d msgs / %8d B   recv %5d msgs / %8d B\n",
 			r, rs.MsgsSent, rs.BytesSent, rs.MsgsRecv, rs.BytesRecv)
 	}
 
 	if st.TotalDrops()+st.TotalRetransmits() > 0 || reliabilityTouched(st) {
-		fmt.Println("\nreliability (per rank):")
+		fmt.Fprintln(w, "\nreliability (per rank):")
 		for r := range st.PerRank {
 			rs := st.PerRank[r]
-			fmt.Printf("  rank %2d: drops %4d  rexmit %4d  dup-disc %4d  corrupt-disc %4d  timeouts %3d  failed-sends %3d\n",
+			fmt.Fprintf(w, "  rank %2d: drops %4d  rexmit %4d  dup-disc %4d  corrupt-disc %4d  timeouts %3d  failed-sends %3d\n",
 				r, rs.Drops, rs.Retransmits, rs.DupsDiscarded, rs.CorruptDiscarded, rs.Timeouts, rs.FailedSends)
 		}
-		fmt.Printf("  total: %d drops, %d retransmits\n", st.TotalDrops(), st.TotalRetransmits())
+		fmt.Fprintf(w, "  total: %d drops, %d retransmits\n", st.TotalDrops(), st.TotalRetransmits())
 	}
 
-	fmt.Println("\nmessage matrix (from -> to: msgs/bytes):")
+	fmt.Fprintln(w, "\nmessage matrix (from -> to: msgs/bytes):")
 	keys := make([]metachaos.PairKey, 0, len(st.Pairs))
 	for k := range st.Pairs {
 		keys = append(keys, k)
@@ -226,11 +293,11 @@ func report(st *metachaos.Stats) {
 	for _, k := range keys {
 		ps := st.Pairs[k]
 		if ps.Drops+ps.Retransmits+ps.DupsDiscarded > 0 {
-			fmt.Printf("  %2d -> %2d: %4d msgs %8d B   (drops %d, rexmit %d, dup-disc %d)\n",
+			fmt.Fprintf(w, "  %2d -> %2d: %4d msgs %8d B   (drops %d, rexmit %d, dup-disc %d)\n",
 				k.From, k.To, ps.Msgs, ps.Bytes, ps.Drops, ps.Retransmits, ps.DupsDiscarded)
 			continue
 		}
-		fmt.Printf("  %2d -> %2d: %4d msgs %8d B\n", k.From, k.To, ps.Msgs, ps.Bytes)
+		fmt.Fprintf(w, "  %2d -> %2d: %4d msgs %8d B\n", k.From, k.To, ps.Msgs, ps.Bytes)
 	}
 }
 
@@ -252,33 +319,33 @@ func parseCrash(spec string) (rank int, at float64, err error) {
 // reportCrashes prints the run's fail-stop history: who died and when,
 // how long the heartbeat detector took to notice, restarts, and what
 // each rank's workload came to.
-func reportCrashes(st *metachaos.Stats, outcomes []string) {
+func reportCrashes(w io.Writer, st *metachaos.Stats, outcomes []string) {
 	if len(st.Crashes) == 0 {
 		return
 	}
-	fmt.Println("\ncrash faults:")
+	fmt.Fprintln(w, "\ncrash faults:")
 	for _, c := range st.Crashes {
-		fmt.Printf("  rank %2d died at %.3f ms", c.Rank, c.At*1000)
+		fmt.Fprintf(w, "  rank %2d died at %.3f ms", c.Rank, c.At*1000)
 		if c.DetectedAt > 0 {
-			fmt.Printf(", detected at %.3f ms (lag %.3f ms)", c.DetectedAt*1000, (c.DetectedAt-c.At)*1000)
+			fmt.Fprintf(w, ", detected at %.3f ms (lag %.3f ms)", c.DetectedAt*1000, (c.DetectedAt-c.At)*1000)
 		} else {
-			fmt.Printf(", not detected before the run ended")
+			fmt.Fprintf(w, ", not detected before the run ended")
 		}
 		if c.RestartAt > 0 {
-			fmt.Printf(", restarted at %.3f ms", c.RestartAt*1000)
+			fmt.Fprintf(w, ", restarted at %.3f ms", c.RestartAt*1000)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	var timeouts, failedSends int64
 	for r := range st.PerRank {
 		timeouts += st.PerRank[r].Timeouts
 		failedSends += st.PerRank[r].FailedSends
 	}
-	fmt.Printf("  detector: %d crash(es) recorded; %d timeouts, %d abandoned sends across ranks\n",
+	fmt.Fprintf(w, "  detector: %d crash(es) recorded; %d timeouts, %d abandoned sends across ranks\n",
 		len(st.Crashes), timeouts, failedSends)
 	for r, o := range outcomes {
 		if o != "" {
-			fmt.Printf("  rank %2d outcome: %s\n", r, o)
+			fmt.Fprintf(w, "  rank %2d outcome: %s\n", r, o)
 		}
 	}
 }

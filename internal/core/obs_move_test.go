@@ -85,17 +85,20 @@ func relErr(a, b float64) float64 {
 // span totals the whole cost.
 func TestMoveSpanTotalsMatchPhases(t *testing.T) {
 	tr := obs.NewTracer()
-	var sum MovePhases
+	// One slot per rank: ranks on different scheduler shards run
+	// concurrently.
+	perRank := make([]MovePhases, 4)
 	moveWorld(t, tr, func(p *mpsim.Proc, sched *Schedule, src, dst *testObj) {
-		res := sched.Move(src, dst)
-		// The cooperative scheduler sequentializes bodies, so the
-		// accumulation needs no lock.
-		sum.Pack += res.Phases.Pack
-		sum.Ship += res.Phases.Ship
-		sum.Local += res.Phases.Local
-		sum.Wait += res.Phases.Wait
-		sum.Unpack += res.Phases.Unpack
+		perRank[p.Rank()] = sched.Move(src, dst).Phases
 	})
+	var sum MovePhases
+	for _, ph := range perRank {
+		sum.Pack += ph.Pack
+		sum.Ship += ph.Ship
+		sum.Local += ph.Local
+		sum.Wait += ph.Wait
+		sum.Unpack += ph.Unpack
+	}
 	if n := tr.OpenSpans(); n != 0 {
 		t.Fatalf("%d spans left open after the run", n)
 	}

@@ -16,7 +16,9 @@ import (
 // settle-time materialization and local lanes still copy.
 func TestMoveBytesCopiedDrop(t *testing.T) {
 	const nprocs, moves = 4, 4
-	var copied, sent, recv int64
+	// One slot per rank: ranks on different scheduler shards run
+	// concurrently.
+	var copiedBy, sentBy, recvBy [nprocs]int64
 	mpsim.RunSPMD(mpsim.SP2(), nprocs, func(p *mpsim.Proc) {
 		ctx := NewCtx(p, p.Comm())
 		src := newTestObj(256, nprocs, 1, p.Rank())
@@ -32,15 +34,20 @@ func TestMoveBytesCopiedDrop(t *testing.T) {
 		}
 		sched.Move(src, dst) // warm-up
 		before := p.LocalStats()
+		r := p.Rank()
 		for i := 0; i < moves; i++ {
-			res := sched.Move(src, dst)
-			// Cooperative scheduling sequentializes bodies: no lock needed.
-			copied += int64(res.BytesCopied)
+			copiedBy[r] += int64(sched.Move(src, dst).BytesCopied)
 		}
 		after := p.LocalStats()
-		sent += after.BytesSent - before.BytesSent
-		recv += after.BytesRecv - before.BytesRecv
+		sentBy[r] = after.BytesSent - before.BytesSent
+		recvBy[r] = after.BytesRecv - before.BytesRecv
 	})
+	var copied, sent, recv int64
+	for r := 0; r < nprocs; r++ {
+		copied += copiedBy[r]
+		sent += sentBy[r]
+		recv += recvBy[r]
+	}
 	if sent == 0 || recv == 0 {
 		t.Fatalf("move exchanged no wire bytes (sent %d, recv %d); test is vacuous", sent, recv)
 	}
@@ -58,13 +65,18 @@ func TestMoveBytesCopiedDrop(t *testing.T) {
 // pooled segments) reports a non-zero copy count.
 func TestMoveBytesCopiedCounter(t *testing.T) {
 	tr := obs.NewTracer()
-	var copied int64
+	// One slot per rank: ranks on different scheduler shards run
+	// concurrently.
+	copiedBy := make([]int64, 4)
 	moveWorld(t, tr, func(p *mpsim.Proc, sched *Schedule, src, dst *testObj) {
 		for i := 0; i < 2; i++ {
-			res := sched.Move(src, dst)
-			copied += int64(res.BytesCopied)
+			copiedBy[p.Rank()] += int64(sched.Move(src, dst).BytesCopied)
 		}
 	})
+	var copied int64
+	for _, c := range copiedBy {
+		copied += c
+	}
 	if copied == 0 {
 		t.Fatal("strided move reported 0 bytes copied; staging should be counted")
 	}

@@ -82,6 +82,8 @@ type ElasticResult struct {
 	Crashes []mpsim.CrashRecord
 	// Makespan is the run's virtual-time length in seconds.
 	Makespan float64
+	// Stats is the simulator's full accounting of the run.
+	Stats *mpsim.Stats
 }
 
 // ElasticCrash derives the seed-pinned crash for a run: a server rank
@@ -104,11 +106,18 @@ func ElasticCrash(seed uint64, serverProcs int) faultsim.Crash {
 // the chaos tests assert it, and the nightly sweep asserts it across
 // many seeds.
 func ElasticFigure10(cfg ElasticConfig) (faulty, clean ElasticResult) {
+	return RunElasticCrash(cfg), runElastic(cfg, nil)
+}
+
+// RunElasticCrash runs the crashy half of the elastic experiment: the
+// seed-pinned crash (ElasticCrash), detection, shrink, checkpoint
+// restore and finish.  With cfg.Obs set, the crash.detect,
+// group.shrink, ckpt.save/restore and move.retry spans land on the
+// virtual timeline alongside the move phases.
+func RunElasticCrash(cfg ElasticConfig) ElasticResult {
 	c := ElasticCrash(cfg.Seed, cfg.ServerProcs)
 	prof := (&faultsim.Profile{Seed: cfg.Seed}).WithCrash(c.Rank, c.At)
-	faulty = runElastic(cfg, prof.CrashPlan())
-	clean = runElastic(cfg, nil)
-	return faulty, clean
+	return runElastic(cfg, prof.CrashPlan())
 }
 
 // runElastic executes one elastic run under an optional crash plan.
@@ -294,6 +303,7 @@ func runElastic(cfg ElasticConfig, plan mpsim.CrashPlan) ElasticResult {
 	})
 	out.Crashes = st.Crashes
 	out.Makespan = st.MakespanSeconds
+	out.Stats = st
 	if out.Survivors == 0 {
 		out.Survivors = cfg.ServerProcs - len(out.Crashes)
 	}
@@ -346,18 +356,6 @@ func firstFailed(rs ...core.MoveResult) int {
 		}
 	}
 	return -1
-}
-
-// ProfileElastic runs the crashy half of the elastic experiment with
-// tracing enabled, returning the tracer and the result — the
-// crash.detect, group.shrink, ckpt.save/restore and move.retry spans
-// land on the virtual timeline alongside the move phases.
-func ProfileElastic(serverProcs, iters int, seed uint64) (*obs.Tracer, ElasticResult) {
-	tr := obs.NewTracer()
-	c := ElasticCrash(seed, serverProcs)
-	prof := (&faultsim.Profile{Seed: seed}).WithCrash(c.Rank, c.At)
-	res := runElastic(ElasticConfig{ServerProcs: serverProcs, Iters: iters, Seed: seed, Obs: tr}, prof.CrashPlan())
-	return tr, res
 }
 
 // ElasticTable summarizes the elastic-recovery experiment for the

@@ -22,7 +22,6 @@ func TestFigure10ChromeTraceGolden(t *testing.T) {
 
 // assertFigure10GoldenTrace profiles the small Figure-10 run and pins
 // its Chrome trace against testdata/figure10_trace.json byte for byte.
-// Shared with the sharding fallback regression test.
 func assertFigure10GoldenTrace(t *testing.T) {
 	t.Helper()
 	tr, b := ProfileFigure10(2, 1)

@@ -35,7 +35,7 @@ func (c *Comm) nextSeq() int {
 // Barrier blocks until every member of the communicator has entered it.
 func (c *Comm) Barrier() {
 	c.require()
-	sp := c.p.beginSpan("coll.barrier")
+	sp := c.p.Span("coll.barrier")
 	seq := c.nextSeq()
 	c.reduceBytes(0, seq, nil, nil)
 	c.bcastTree(0, seq, nil)
@@ -46,7 +46,7 @@ func (c *Comm) Barrier() {
 // member's copy.  Non-root callers pass nil.
 func (c *Comm) Bcast(root int, data []byte) []byte {
 	c.require()
-	sp := c.p.beginSpan("coll.bcast")
+	sp := c.p.Span("coll.bcast")
 	seq := c.nextSeq()
 	var out []byte
 	if c.myRank == root {
@@ -72,7 +72,7 @@ func (c *Comm) BcastPayload(root int, pay *bufpool.Payload) {
 	if c.myRank != root {
 		panic("mpsim: BcastPayload called by a non-root member; non-roots use Bcast(root, nil)")
 	}
-	sp := c.p.beginSpan("coll.bcast")
+	sp := c.p.Span("coll.bcast")
 	seq := c.nextSeq()
 	n := c.Size()
 	wire := c.collWire(seq, phBcast)
@@ -149,7 +149,7 @@ func (c *Comm) reduceBytes(root, seq int, acc []byte, combine func(acc, in []byt
 // slice per member in communicator-rank order; elsewhere it returns nil.
 func (c *Comm) Gather(root int, data []byte) [][]byte {
 	c.require()
-	sp := c.p.beginSpan("coll.gather")
+	sp := c.p.Span("coll.gather")
 	seq := c.nextSeq()
 	wire := c.collWire(seq, phGather)
 	if c.myRank != root {
@@ -177,7 +177,7 @@ func (c *Comm) Gather(root int, data []byte) [][]byte {
 // followed by a broadcast of the framed concatenation.
 func (c *Comm) Allgather(data []byte) [][]byte {
 	c.require()
-	sp := c.p.beginSpan("coll.allgather")
+	sp := c.p.Span("coll.allgather")
 	parts := c.Gather(0, data)
 	var packed []byte
 	if c.myRank == 0 {
@@ -200,7 +200,7 @@ func (c *Comm) Alltoall(bufs [][]byte) [][]byte {
 	if len(bufs) != n {
 		panic(fmt.Sprintf("mpsim: Alltoall needs %d buffers, got %d", n, len(bufs)))
 	}
-	sp := c.p.beginSpan("coll.alltoall")
+	sp := c.p.Span("coll.alltoall")
 	seq := c.nextSeq()
 	wire := c.collWire(seq, phExchange)
 	out := make([][]byte, n)
@@ -225,7 +225,7 @@ func (c *Comm) Alltoall(bufs [][]byte) [][]byte {
 // result is only meaningful on root (others receive 0).
 func (c *Comm) ReduceFloat64(root int, op ReduceOp, x float64) float64 {
 	c.require()
-	sp := c.p.beginSpan("coll.reduce")
+	sp := c.p.Span("coll.reduce")
 	seq := c.nextSeq()
 	buf := make([]byte, 8)
 	binary.LittleEndian.PutUint64(buf, math.Float64bits(x))
@@ -255,7 +255,7 @@ const (
 // the result on every member.
 func (c *Comm) AllreduceFloat64(op ReduceOp, x float64) float64 {
 	c.require()
-	sp := c.p.beginSpan("coll.allreduce")
+	sp := c.p.Span("coll.allreduce")
 	seq := c.nextSeq()
 	buf := make([]byte, 8)
 	binary.LittleEndian.PutUint64(buf, math.Float64bits(x))
@@ -274,7 +274,7 @@ func (c *Comm) AllreduceFloat64(op ReduceOp, x float64) float64 {
 // result on every member.
 func (c *Comm) AllreduceInt64(op ReduceOp, x int64) int64 {
 	c.require()
-	sp := c.p.beginSpan("coll.allreduce")
+	sp := c.p.Span("coll.allreduce")
 	seq := c.nextSeq()
 	buf := make([]byte, 8)
 	binary.LittleEndian.PutUint64(buf, uint64(x))

@@ -185,7 +185,7 @@ func (w *World) fireCrash(tm *timer) {
 	cs.recIdx[r] = len(cs.records)
 	cs.records = append(cs.records, CrashRecord{Rank: r, At: tm.at})
 	p.killed = true
-	w.record(Event{Time: tm.at, Rank: r, Kind: EvCrash, Peer: -1})
+	w.note(Event{Time: tm.at, Rank: r, Kind: EvCrash, Peer: -1})
 	// Heartbeat model: the rank misses the first heartbeat after the
 	// crash; survivors suspect it SuspectAfter later.
 	beat := (float64(int(tm.at/cs.detect.Period)) + 1) * cs.detect.Period
@@ -233,7 +233,7 @@ func (w *World) fireDetect(tm *timer) {
 		cs.records[i].DetectedAt = tm.at
 	}
 	cs.incTimes = append(cs.incTimes, tm.at)
-	w.record(Event{Time: tm.at, Rank: r, Kind: EvCrashDetect, Peer: r})
+	w.note(Event{Time: tm.at, Rank: r, Kind: EvCrashDetect, Peer: r})
 	for _, q := range w.procs {
 		if q.state != stateBlocked || q.worldRank == r {
 			continue
@@ -336,7 +336,7 @@ func (w *World) restartProc(p *Proc, at float64) {
 	// application-level epoch resync (SetCollectiveEpoch).
 	p.worldComm.seq = 0
 	p.progComm.seq = 0
-	w.record(Event{Time: at, Rank: r, Kind: EvRestart, Peer: -1})
+	w.note(Event{Time: at, Rank: r, Kind: EvRestart, Peer: -1})
 	w.launchProc(p, cs.bodies[r])
 	w.wake(p)
 }

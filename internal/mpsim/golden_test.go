@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -178,8 +179,21 @@ func TestFrozenEngineGoldens(t *testing.T) {
 			want := string(raw)
 			lines := strings.Split(strings.TrimSuffix(want, "\n"), "\n")
 			wantTrace := parseGoldenEvents(t, lines[2:])
+			var oneShard *Stats
 			for _, shards := range []int{1, 4} {
 				st := Run(mk(shards))
+				if shards == 1 {
+					oneShard = st
+				} else {
+					// Every per-rank and per-pair counter, fault counters
+					// included, must survive the merge of shard records.
+					if !reflect.DeepEqual(st.PerRank, oneShard.PerRank) {
+						t.Errorf("shards=%d: per-rank stats differ from one shard's:\n%+v\nwant:\n%+v", shards, st.PerRank, oneShard.PerRank)
+					}
+					if !reflect.DeepEqual(st.Pairs, oneShard.Pairs) {
+						t.Errorf("shards=%d: pair stats differ from one shard's", shards)
+					}
+				}
 				got := formatGolden(st)
 				if g := strings.SplitN(got, "\n", 3); g[0] != lines[0] || g[1] != lines[1] {
 					t.Errorf("shards=%d: got %q / %q, want %q / %q", shards, g[0], g[1], lines[0], lines[1])

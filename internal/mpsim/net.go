@@ -257,8 +257,7 @@ func (w *World) fireWake(tm *timer) {
 	if p.wantsAny == nil && p.wantSrc != AnySource {
 		peer = p.wantSrc
 	}
-	w.stats.PerRank[p.worldRank].Timeouts++
-	w.record(Event{Time: tm.at, Rank: p.worldRank, Kind: EvTimeout, Peer: peer})
+	w.note(Event{Time: tm.at, Rank: p.worldRank, Kind: EvTimeout, Peer: peer})
 	p.wakeErr = &NetError{Op: "wait", Rank: p.worldRank, Peer: peer, Err: ErrTimeout}
 	if p.clock < tm.at {
 		p.clock = tm.at // the process observed the deadline passing
@@ -339,14 +338,14 @@ type netLayer struct {
 	inj      FaultInjector
 	reliable bool
 
-	// mu serializes shard-side entry points (send, NetPairStats): two
-	// shards sending on different links concurrently would otherwise
-	// race on the links map, the injector's internal state and the pair
-	// counters.  Per-link behavior stays deterministic because each
-	// directed link has a single sending rank, hence a single sending
-	// shard.  Timer handlers never take it: in an N-shard run they only
-	// run while every shard is quiesced at a window barrier, and a
-	// one-shard run executes one operation at a time.
+	// mu serializes the shard-side entry point (send): two shards
+	// sending on different links concurrently would otherwise race on
+	// the links map and the injector's internal state.  Per-link
+	// behavior stays deterministic because each directed link has a
+	// single sending rank, hence a single sending shard.  Timer
+	// handlers never take it: in an N-shard run they only run while
+	// every shard is quiesced at a window barrier, and a one-shard run
+	// executes one operation at a time.
 	mu sync.Mutex
 
 	rto        float64
@@ -377,17 +376,6 @@ func newNetLayer(w *World, inj FaultInjector, rel *Reliability) *netLayer {
 		}
 	}
 	return n
-}
-
-// pair returns the directed link's network-fault counters.  These
-// always live in the Stats.Pairs map: shard-side callers (send,
-// transmit) hold n.mu, and an N-shard run's coordinator only touches
-// the map while every shard is quiesced at a window barrier, so the
-// counters a mid-run NetPairStats reader sees are exactly the
-// one-shard run's values for the coordinator-fired kinds
-// (retransmits, duplicate discards).
-func (n *netLayer) pair(from, to int) *PairStats {
-	return n.w.stats.pair(from, to)
 }
 
 func (n *netLayer) link(k linkKey) *linkState {
@@ -424,8 +412,7 @@ func (n *netLayer) send(from, to, tag int, data []byte, pay *bufpool.Payload, xm
 			// The transport already declared this peer unreachable;
 			// further packets are dropped at the source (no reference
 			// was taken, so there is nothing to release).
-			n.w.stats.PerRank[from].FailedSends++
-			n.w.record(Event{Time: depart, Rank: from, Kind: EvPeerFail, Peer: to, Bytes: pkt.size()})
+			n.w.note(Event{Time: depart, Rank: from, Kind: EvPeerFail, Peer: to, Bytes: pkt.size()})
 			return
 		}
 		ls := n.link(key)
@@ -456,9 +443,7 @@ func (n *netLayer) transmit(pkt *packet, depart float64, attempt int) {
 		w.addTimer(&timer{at: depart + pkt.rto, rank: pkt.from, kind: tRetransmit, pkt: pkt})
 	}
 	if d.Drop {
-		w.stats.PerRank[pkt.from].Drops++
-		n.pair(pkt.from, pkt.to).Drops++
-		w.record(Event{Time: depart, Rank: pkt.from, Kind: EvDrop, Peer: pkt.to, Bytes: pkt.size()})
+		w.note(Event{Time: depart, Rank: pkt.from, Kind: EvDrop, Peer: pkt.to, Bytes: pkt.size()})
 		return
 	}
 	arrival := depart + pkt.xmit + w.machine.Latency + d.ExtraDelay
@@ -511,15 +496,12 @@ func (n *netLayer) fireDeliver(tm *timer) {
 		return
 	}
 	if wireSum(data, pay) != pkt.sum {
-		w.stats.PerRank[pkt.to].CorruptDiscarded++
-		w.record(Event{Time: tm.at, Rank: pkt.to, Kind: EvCorruptDiscard, Peer: pkt.from, Bytes: wireLen(data, pay)})
+		w.note(Event{Time: tm.at, Rank: pkt.to, Kind: EvCorruptDiscard, Peer: pkt.from, Bytes: wireLen(data, pay)})
 		return // no ack: the sender's retransmission timer recovers
 	}
 	ls := n.link(linkKey{pkt.from, pkt.to})
 	if pkt.seq < ls.nextDeliver || ls.held[pkt.seq] != nil {
-		w.stats.PerRank[pkt.to].DupsDiscarded++
-		n.pair(pkt.from, pkt.to).DupsDiscarded++
-		w.record(Event{Time: tm.at, Rank: pkt.to, Kind: EvDupDiscard, Peer: pkt.from, Bytes: wireLen(data, pay)})
+		w.note(Event{Time: tm.at, Rank: pkt.to, Kind: EvDupDiscard, Peer: pkt.from, Bytes: wireLen(data, pay)})
 		n.sendAck(pkt, tm.at) // the previous ack may have been lost; re-ack
 		return
 	}
@@ -570,8 +552,7 @@ func (n *netLayer) sendAck(pkt *packet, now float64) {
 	if n.inj != nil {
 		d := n.inj.Decide(pkt.to, pkt.from, -1, 0, now)
 		if d.Drop {
-			n.w.stats.PerRank[pkt.to].Drops++
-			n.w.record(Event{Time: now, Rank: pkt.to, Kind: EvDrop, Peer: pkt.from})
+			n.w.note(Event{Time: now, Rank: pkt.to, Kind: EvDrop, Peer: pkt.from, Ack: true})
 			return
 		}
 		delay = d.ExtraDelay
@@ -589,7 +570,7 @@ func (n *netLayer) fireAck(tm *timer) {
 	ls := n.link(linkKey{pkt.from, pkt.to})
 	delete(ls.inflight, pkt.seq)
 	pkt.releaseRef()
-	n.w.record(Event{Time: tm.at, Rank: pkt.from, Kind: EvAck, Peer: pkt.to})
+	n.w.note(Event{Time: tm.at, Rank: pkt.from, Kind: EvAck, Peer: pkt.to})
 }
 
 // fireRetransmit re-launches an unacked packet, or abandons the link
@@ -612,9 +593,7 @@ func (n *netLayer) fireRetransmit(tm *timer) {
 	}
 	pkt.retries++
 	pkt.rto *= n.backoff
-	w.stats.PerRank[pkt.from].Retransmits++
-	n.pair(pkt.from, pkt.to).Retransmits++
-	w.record(Event{Time: tm.at, Rank: pkt.from, Kind: EvRetransmit, Peer: pkt.to, Bytes: pkt.size()})
+	w.note(Event{Time: tm.at, Rank: pkt.from, Kind: EvRetransmit, Peer: pkt.to, Bytes: pkt.size()})
 	// The retransmission occupies the sender node's outbound link like
 	// any other transmission.
 	node := w.procs[pkt.from].node
@@ -637,8 +616,7 @@ func (n *netLayer) abandon(pkt *packet, now float64) {
 	pkt.releaseRef()
 	n.dead[key] = true
 	w := n.w
-	w.stats.PerRank[pkt.from].FailedSends++
-	w.record(Event{Time: now, Rank: pkt.from, Kind: EvPeerFail, Peer: pkt.to, Bytes: pkt.size()})
+	w.note(Event{Time: now, Rank: pkt.from, Kind: EvPeerFail, Peer: pkt.to, Bytes: pkt.size()})
 	dst := w.procs[pkt.to]
 	if dst.state == stateBlocked && dst.wantsMsg(&message{src: pkt.from, tag: pkt.tag}) {
 		dst.wakeErr = &NetError{Op: "recv", Rank: pkt.to, Peer: pkt.from, Err: ErrPeerUnreachable}

@@ -291,12 +291,11 @@ func (p *Proc) sendImpl(to, tag int, data []byte, pay *bufpool.Payload) {
 		p.checkKilled()
 		if p.world.deadDetected(to, p.clock) {
 			// Post-detection sends fail fast instead of vanishing.
-			p.world.stats.PerRank[p.worldRank].FailedSends++
-			p.world.record(Event{Time: p.clock, Rank: p.worldRank, Kind: EvPeerFail, Peer: to, Bytes: size})
+			p.world.note(Event{Time: p.clock, Rank: p.worldRank, Kind: EvPeerFail, Peer: to, Bytes: size})
 			panic(netPanic{&NetError{Op: "send", Rank: p.worldRank, Peer: to, Err: ErrPeerDead}})
 		}
 	}
-	sp := p.beginSpan("send")
+	sp := p.Span("send")
 	sp.SetPeer(to).SetBytes(size)
 	m := p.world.machine
 	dst := p.world.procs[to]
@@ -329,7 +328,7 @@ func (p *Proc) sendImpl(to, tag int, data []byte, pay *bufpool.Payload) {
 				// Imperfect network: the send-side cost model above is
 				// unchanged, but delivery becomes a virtual-time event
 				// whose fate the fault injector decides.
-				p.recordSend(to, size)
+				p.world.note(Event{Time: p.clock, Rank: p.worldRank, Kind: EvSend, Peer: to, Bytes: size})
 				var buf []byte
 				if pay == nil {
 					buf = make([]byte, len(data))
@@ -362,7 +361,7 @@ func (p *Proc) sendImpl(to, tag int, data []byte, pay *bufpool.Payload) {
 		msg.data = buf
 	}
 
-	p.recordSend(to, size)
+	p.world.note(Event{Time: p.clock, Rank: p.worldRank, Kind: EvSend, Peer: to, Bytes: size})
 	sp.End(p.clock)
 	if remote {
 		// Cross-shard delivery is a virtual-time event at the message's
@@ -383,15 +382,6 @@ func (p *Proc) sendImpl(to, tag int, data []byte, pay *bufpool.Payload) {
 		}
 	}
 	p.yield()
-}
-
-// recordSend charges the send to the sender's counters and trace.
-func (p *Proc) recordSend(to, bytes int) {
-	st := &p.world.stats
-	st.PerRank[p.worldRank].MsgsSent++
-	st.PerRank[p.worldRank].BytesSent += int64(bytes)
-	p.world.recordPairFor(p, to, bytes)
-	p.world.record(Event{Time: p.clock, Rank: p.worldRank, Kind: EvSend, Peer: to, Bytes: bytes})
 }
 
 // Recv blocks until a message matching (from, tag) is available and
@@ -506,9 +496,7 @@ func (p *Proc) checkWakeErr() {
 // (AnySource when wants is used instead).
 func (p *Proc) checkBeforeBlock(from int, wants []recvWant) {
 	if p.deadlineAt > 0 && p.clock >= p.deadlineAt {
-		w := p.world
-		w.stats.PerRank[p.worldRank].Timeouts++
-		w.record(Event{Time: p.clock, Rank: p.worldRank, Kind: EvTimeout, Peer: -1})
+		p.world.note(Event{Time: p.clock, Rank: p.worldRank, Kind: EvTimeout, Peer: -1})
 		panic(netPanic{&NetError{Op: "wait", Rank: p.worldRank, Peer: -1, Err: ErrTimeout}})
 	}
 	if p.world.crash != nil {
@@ -556,7 +544,8 @@ func (p *Proc) checkBeforeBlock(from int, wants []recvWant) {
 // is not retried — the caller decides how to degrade.
 func (p *Proc) WithTimeout(d float64, f func()) (err error) {
 	prevAt, prevGen := p.deadlineAt, p.deadlineGen
-	spanDepth := p.world.obs.Depth(p.worldRank)
+	tr := p.Obs()
+	spanDepth := tr.Depth(p.worldRank)
 	defer func() {
 		p.deadlineAt, p.deadlineGen = prevAt, prevGen
 		if r := recover(); r != nil {
@@ -567,7 +556,7 @@ func (p *Proc) WithTimeout(d float64, f func()) (err error) {
 			// The aborted operation cannot end the spans it opened;
 			// close them at the abandonment clock so the timeline
 			// stays well-nested.
-			p.world.obs.Unwind(p.worldRank, spanDepth, p.clock)
+			tr.Unwind(p.worldRank, spanDepth, p.clock)
 			err = np.err
 		}
 	}()
@@ -595,32 +584,38 @@ func (p *Proc) ReliableTransport() bool {
 
 // NetPairStats returns a copy of the directed (from -> to) pair
 // counters accumulated so far, letting higher layers snapshot per-peer
-// retransmit and duplicate counts around a data move.
+// retransmit and duplicate counts around a data move.  Msgs and Bytes
+// are reported only when from runs on the caller's shard: a mid-window
+// value from another shard would not match a one-shard run.  Complete
+// pair totals are in Stats.Pairs once the run ends.
 func (p *Proc) NetPairStats(from, to int) PairStats {
 	w := p.world
 	var out PairStats
-	if n := w.net; n != nil {
-		// The transport counters live in Stats.Pairs; shard-side
-		// writers (send-path drops) hold mu, an N-shard run's
-		// coordinator writes only while shards are quiesced, and the
-		// window bound never outruns a pending transport event — so a
-		// mid-run read sees exactly the one-shard values.
-		n.mu.Lock()
-		if ps := w.stats.Pairs[PairKey{From: from, To: to}]; ps != nil {
-			out = *ps
-		}
-		n.mu.Unlock()
+	k := PairKey{From: from, To: to}
+	// from's shard record holds the pair's payload, drop and
+	// retransmit counters; to's its duplicate discards.  Transport
+	// counters exist only with a network layer, where record.mu makes
+	// a cross-shard read race-free; they change only on the sender's
+	// send path (drops) or in timers no window outruns.
+	own := &p.shard.rec
+	src, dst := &w.procs[from].shard.rec, &w.procs[to].shard.rec
+	if w.net == nil && src != own {
+		return out
 	}
-	// Payload Msgs/Bytes live in the sending rank's shard; only a
-	// same-shard read is race-free (and mid-window cross-shard values
-	// would not match a one-shard run anyway).  Mid-run consumers (move
-	// recovery accounting) diff only the transport counters above;
-	// full pair totals are merged into Stats.Pairs when the run
-	// completes.
-	if s := w.procs[from].shard; s == p.shard {
-		if ps := s.pairs[PairKey{From: from, To: to}]; ps != nil {
-			out.Msgs, out.Bytes = ps.Msgs, ps.Bytes
+	src.mu.Lock()
+	if ps := src.pairs[k]; ps != nil {
+		out = *ps
+	}
+	src.mu.Unlock()
+	if w.net != nil && dst != src {
+		dst.mu.Lock()
+		if ps := dst.pairs[k]; ps != nil {
+			out.DupsDiscarded = ps.DupsDiscarded
 		}
+		dst.mu.Unlock()
+	}
+	if src != own {
+		out.Msgs, out.Bytes = 0, 0
 	}
 	return out
 }
@@ -631,7 +626,7 @@ func (p *Proc) NetPairStats(from, to int) PairStats {
 // arrival time (the receiver's wait) is inside the span.
 func (p *Proc) deliver(msg *message) {
 	size := msg.size()
-	sp := p.beginSpan("recv")
+	sp := p.Span("recv")
 	sp.SetPeer(msg.src).SetBytes(size)
 	m := p.world.machine
 	arrival := msg.arrival
@@ -649,10 +644,7 @@ func (p *Proc) deliver(msg *message) {
 	if !msg.local {
 		p.clock += m.RecvOverhead + float64(size)*m.PerByteCPU
 	}
-	st := &p.world.stats
-	st.PerRank[p.worldRank].MsgsRecv++
-	st.PerRank[p.worldRank].BytesRecv += int64(size)
-	p.world.record(Event{Time: p.clock, Rank: p.worldRank, Kind: EvRecv, Peer: msg.src, Bytes: size})
+	p.world.note(Event{Time: p.clock, Rank: p.worldRank, Kind: EvRecv, Peer: msg.src, Bytes: size})
 	sp.End(p.clock)
 }
 

@@ -321,7 +321,7 @@ func (c *Comm) Probe(from, tag int) bool {
 // bufs[i].  Non-roots pass nil.
 func (c *Comm) Scatter(root int, bufs [][]byte) []byte {
 	c.require()
-	sp := c.p.beginSpan("coll.scatter")
+	sp := c.p.Span("coll.scatter")
 	seq := c.nextSeq()
 	wire := c.collWire(seq, phGather)
 	if c.myRank == root {
@@ -349,7 +349,7 @@ func (c *Comm) Scatter(root int, bufs [][]byte) []byte {
 // solvers use for residual norms and dot products.
 func (c *Comm) AllreduceFloat64s(op ReduceOp, xs []float64) []float64 {
 	c.require()
-	sp := c.p.beginSpan("coll.allreduce")
+	sp := c.p.Span("coll.allreduce")
 	seq := c.nextSeq()
 	buf := codec.Float64sToBytes(xs)
 	acc := c.reduceBytes(0, seq, buf, func(acc, in []byte) []byte {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 )
 
@@ -45,15 +44,16 @@ import (
 //
 //   - The coordinator goroutine runs shard 0's windows itself; every
 //     other shard has a worker goroutine.  Shard state (runq, local
-//     timers, proc queues/clocks, per-shard trace buffer and pair map)
-//     is touched only by whichever goroutine runs that shard, or by
-//     the coordinator while every worker is quiesced at a window
-//     barrier (the cmd/done channels give happens-before).
-//   - The coordinator's global heap and stats are touched by the
-//     coordinator, or by shards under netLayer.mu (the reliable
-//     transport's send path), which the coordinator never contends
-//     with because it only fires global timers while shards are
-//     parked.
+//     timers, proc queues/clocks, the shard record and its ranks'
+//     RankStats) is touched only by whichever goroutine runs that
+//     shard, or by the coordinator while every worker is quiesced at a
+//     window barrier (the cmd/done channels give happens-before).
+//     With a network layer, NetPairStats also reads other shards' pair
+//     counters, under record.mu.
+//   - The coordinator's global heap is touched by the coordinator, or
+//     by shards under netLayer.mu (the reliable transport's send path),
+//     which the coordinator never contends with because it only fires
+//     global timers while shards are parked.
 //   - Cross-shard perfect-network messages are staged in the sending
 //     shard's outbox and moved into the destination shard's heap at
 //     the barrier.
@@ -118,12 +118,7 @@ type shard struct {
 	live     int
 	makespan float64
 
-	// events buffers this shard's ranks' trace events; merged after
-	// the run.
-	events []Event
-	// pairs buffers this shard's senders' payload pair counters
-	// (allocated on first use); merged after the run.
-	pairs map[PairKey]*PairStats
+	rec record // what note recorded for this shard's ranks (record.go)
 
 	// out stages cross-shard perfect-network deliveries created during
 	// a window; the coordinator moves them to their destination shards
@@ -136,20 +131,6 @@ type shard struct {
 	// cmd hands windows to the shard's worker goroutine; nil for
 	// shard 0, which the coordinator runs itself.
 	cmd chan evKey
-}
-
-func (s *shard) recordPair(from, to, bytes int) {
-	if s.pairs == nil {
-		s.pairs = make(map[PairKey]*PairStats)
-	}
-	k := PairKey{From: from, To: to}
-	ps := s.pairs[k]
-	if ps == nil {
-		ps = &PairStats{}
-		s.pairs[k] = ps
-	}
-	ps.Msgs++
-	ps.Bytes += int64(bytes)
 }
 
 // nextKey is the position of the shard's earliest pending event.
@@ -270,18 +251,14 @@ func shardBounds(w *World, n int) []int {
 
 // resolveShards picks the shard count for a run: Config.Shards, then
 // the MPSIM_SHARDS environment variable, then auto-sharding of large
-// worlds across min(GOMAXPROCS, nodes).  Returns 1 (one shard)
-// whenever several shards cannot preserve behavior: an observability
-// tracer is attached (obs.Tracer is single-threaded by design), or the
-// machine has no latency floor to derive lookahead from.
+// worlds across min(GOMAXPROCS, nodes).  Returns 1 (one shard) when
+// the machine has no latency floor to derive lookahead from.  An
+// attached tracer does not matter: every shard records into its own.
 func (w *World) resolveShards(cfg Config) int {
 	// Validate the environment override before any early return: a
 	// typo'd MPSIM_SHARDS that was silently ignored would make every
 	// "why isn't it sharding" investigation start from a lie.
 	env, envSet := shardsFromEnv()
-	if cfg.Obs != nil {
-		return 1
-	}
 	if w.safeLookahead() <= 0 {
 		return 1
 	}
@@ -374,6 +351,9 @@ func (sr *shardedRun) partition(w *World, n int, lookahead float64) {
 		}
 		s := &sr.shards[i]
 		s.w, s.lo, s.hi = w, lo, hi
+		if w.obs != nil {
+			s.rec.attachTracer()
+		}
 		s.runq = make(procHeap, 0, hi-lo)
 		s.sched = make(chan schedEvent)
 		// Dormant (not-yet-joined) ranks count as live from t=0: their
@@ -487,48 +467,3 @@ func (sr *shardedRun) collectFailure() *runFailure {
 	}
 	return f
 }
-
-// mergeStats folds per-shard results into the world's stats after all
-// workers have quiesced for the last time.  A one-shard run's trace
-// keeps its execution order; an N-shard run's is merged into (time,
-// rank) order.
-func (sr *shardedRun) mergeStats() {
-	w := sr.w
-	for i := range sr.shards {
-		s := &sr.shards[i]
-		if s.makespan > w.stats.MakespanSeconds {
-			w.stats.MakespanSeconds = s.makespan
-		}
-		w.stats.adoptPairs(s.pairs)
-	}
-	if w.trace == nil {
-		return
-	}
-	evs := sr.shards[0].events
-	if len(sr.shards) > 1 {
-		total := 0
-		for i := range sr.shards {
-			total += len(sr.shards[i].events)
-		}
-		evs = make([]Event, 0, total)
-		for i := range sr.shards {
-			evs = append(evs, sr.shards[i].events...)
-		}
-		// Per-rank subsequences are already in execution order (every
-		// rank's events land in one shard buffer), so a stable sort on
-		// (time, rank) yields the canonical stream: identical Timeline
-		// and ByRank views to a one-shard run.
-		sort.SliceStable(evs, func(a, b int) bool {
-			if evs[a].Time != evs[b].Time {
-				return evs[a].Time < evs[b].Time
-			}
-			return evs[a].Rank < evs[b].Rank
-		})
-	}
-	w.trace.Events = evs
-}
-
-// Shards reports how many scheduler shards this run is using (1 for a
-// run whose whole world is one shard); harness code records it next to
-// results.
-func (w *World) Shards() int { return len(w.sh.shards) }

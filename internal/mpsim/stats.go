@@ -46,6 +46,9 @@ type Stats struct {
 	// MakespanSeconds is the largest final virtual clock over all
 	// processes: the virtual wall-clock time of the run.
 	MakespanSeconds float64
+	// Shards is how many scheduler shards ran the world (see
+	// Config.Shards).
+	Shards int
 	// PerRank has one entry per world rank.
 	PerRank []RankStats
 	// Pairs maps ordered process pairs to their traffic.
@@ -59,39 +62,6 @@ type Stats struct {
 	// Joins is the run's elastic-growth history (Config.Join), ordered
 	// by join time; empty without a join plan.
 	Joins []JoinRecord
-}
-
-// pair returns the counters for the ordered (from, to) link, creating
-// them on first use.
-func (s *Stats) pair(from, to int) *PairStats {
-	if s.Pairs == nil {
-		s.Pairs = make(map[PairKey]*PairStats)
-	}
-	k := PairKey{From: from, To: to}
-	ps := s.Pairs[k]
-	if ps == nil {
-		ps = &PairStats{}
-		s.Pairs[k] = ps
-	}
-	return ps
-}
-
-// adoptPairs folds a shard's payload pair counters into s after the
-// run.  The shard's entries are taken over rather than copied: the
-// whole map when s has none yet, otherwise each key s lacks.
-func (s *Stats) adoptPairs(m map[PairKey]*PairStats) {
-	if s.Pairs == nil {
-		s.Pairs = m
-		return
-	}
-	for k, ps := range m {
-		if t := s.Pairs[k]; t != nil {
-			t.Msgs += ps.Msgs
-			t.Bytes += ps.Bytes
-		} else {
-			s.Pairs[k] = ps
-		}
-	}
 }
 
 // TotalMsgs returns the total number of messages sent during the run.

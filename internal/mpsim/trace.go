@@ -51,6 +51,8 @@ const (
 	// EvJoin is recorded when a dormant rank joins the running world
 	// (elastic scale-out).
 	EvJoin
+
+	numEventKinds = int(EvJoin) + 1
 )
 
 func (k EventKind) String() string {
@@ -97,6 +99,9 @@ type Event struct {
 	Peer int
 	// Bytes is the payload size.
 	Bytes int
+	// Ack marks an EvDrop that lost an acknowledgement rather than a
+	// payload packet: it charges the acting rank's Drops but no pair's.
+	Ack bool
 }
 
 // Trace is the recorded event sequence of one run.  A one-shard run
@@ -148,27 +153,4 @@ func (t *Trace) Sends() int {
 		}
 	}
 	return n
-}
-
-// record appends an event to the acting rank's shard buffer if
-// tracing is enabled, and mirrors it into the observability layer if a
-// tracer is attached.  Coordinator contexts append to shard buffers
-// too, which is safe: the coordinator only fires timers while every
-// worker is quiesced at a window barrier.  The buffers are merged into
-// the trace when the run completes.
-func (w *World) record(e Event) {
-	if w.trace != nil {
-		s := w.procs[e.Rank].shard
-		s.events = append(s.events, e)
-	}
-	if w.obs != nil {
-		w.obsEvent(e)
-	}
-}
-
-// recordPairFor charges one payload message from p to world rank to.
-// Pair counters live in the sender's shard (merged post-run) because
-// the perfect-network send path does not hold the net-layer lock.
-func (w *World) recordPairFor(p *Proc, to, bytes int) {
-	p.shard.recordPair(p.worldRank, to, bytes)
 }

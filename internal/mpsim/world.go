@@ -43,7 +43,9 @@ type Config struct {
 	Reliable *Reliability
 	// Obs, when non-nil, records virtual-time spans and metrics for
 	// every messaging operation (and, through the layers above, every
-	// data-move phase).  nil keeps the hot paths allocation-free.
+	// data-move phase).  Each shard records into a tracer of its own,
+	// merged into Obs when the run ends.  nil keeps the hot paths
+	// allocation-free.
 	Obs *obs.Tracer
 	// Crash, when non-nil, supplies fail-stop crash faults: ranks die
 	// at scheduled virtual times (and may restart).  See crash.go for
@@ -73,8 +75,8 @@ type Config struct {
 }
 
 // World is the simulated machine state for one run.  It owns every
-// simulated process, the per-node link reservations, and the cooperative
-// scheduler that sequentializes execution in virtual-time order.
+// simulated process, the per-node link reservations, and the scheduler
+// that executes them in virtual-time order.
 type World struct {
 	machine   *Machine
 	procs     []*Proc
@@ -84,11 +86,9 @@ type World struct {
 	progNames []string
 	progRanks map[string][]int
 
-	// Observability (nil when Config.Obs was nil).  Counters are
-	// resolved once here so per-message accounting never hits the
-	// registry maps.
-	obs  *obs.Tracer
-	obsC obsCounters
+	// obs is Config.Obs, which the shard tracers merge into after the
+	// run (nil when observability is off).
+	obs *obs.Tracer
 
 	// timers is the coordinator's global heap: the transport, crash and
 	// join timers of an N-shard run.  A one-shard run's shard owns every
@@ -169,9 +169,6 @@ func Run(cfg Config) *Stats {
 	w.stats.Trace = w.trace
 	w.stats.Crashes = w.crashRecords()
 	w.stats.Joins = w.joinRecords()
-	if w.obs != nil {
-		w.obs.MetricsRegistry().Gauge("mpsim.makespan_seconds").Set(w.stats.MakespanSeconds)
-	}
 	return &w.stats
 }
 
@@ -202,10 +199,7 @@ func newWorld(cfg Config) (*World, error) {
 	if cfg.Trace {
 		w.trace = &Trace{}
 	}
-	if cfg.Obs != nil {
-		w.obs = cfg.Obs
-		w.obsC.resolve(cfg.Obs.MetricsRegistry())
-	}
+	w.obs = cfg.Obs
 	if cfg.Fault != nil || cfg.Reliable != nil {
 		w.net = newNetLayer(w, cfg.Fault, cfg.Reliable)
 	}
@@ -330,11 +324,7 @@ func (w *World) panicDeadlock() {
 		msg += d + "\n"
 	}
 	if w.net != nil && !w.net.reliable {
-		var dropped int64
-		for i := range w.stats.PerRank {
-			dropped += w.stats.PerRank[i].Drops
-		}
-		if dropped > 0 {
+		if dropped := w.stats.TotalDrops(); dropped > 0 {
 			msg += fmt.Sprintf("  (%d messages were dropped by fault injection with no reliable transport; consider Config.Reliable)\n", dropped)
 		}
 	}

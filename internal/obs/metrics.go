@@ -1,6 +1,10 @@
 package obs
 
-import "sort"
+import (
+	"fmt"
+	"slices"
+	"sort"
+)
 
 // Metrics is a registry of named counters, gauges and histograms.  Like
 // the tracer, a nil *Metrics (and the nil instruments it hands out) is
@@ -164,6 +168,34 @@ func (m *Metrics) Histogram(name string, bounds []float64) *Histogram {
 		m.hists[name] = h
 	}
 	return h
+}
+
+// Merge adds src's instruments to m: counters and histogram samples
+// add up, and a gauge src has set overwrites m's.  A histogram must
+// have the same bucket boundaries in both registries.
+func (m *Metrics) Merge(src *Metrics) {
+	if m == nil || src == nil {
+		return
+	}
+	for name, c := range src.counters {
+		m.Counter(name).Add(c.v)
+	}
+	for name, g := range src.gauges {
+		if g.set {
+			m.Gauge(name).Set(g.v)
+		}
+	}
+	for name, h := range src.hists {
+		d := m.Histogram(name, h.bounds)
+		if !slices.Equal(d.bounds, h.bounds) {
+			panic(fmt.Sprintf("obs: histogram %q merged across different buckets", name))
+		}
+		d.sum += h.sum
+		d.n += h.n
+		for i, c := range h.counts {
+			d.counts[i] += c
+		}
+	}
 }
 
 // CounterNames returns the registered counter names, sorted.

@@ -12,9 +12,10 @@
 // reproducible artifact: the same workload always produces the same
 // spans at the same virtual times.
 //
-// Exports: Chrome about://tracing JSON (WriteChromeTrace) and a
-// collapsed-stack flamegraph format (WriteCollapsed); cmd/mcprof is
-// the command-line front end.
+// Exports: Chrome about://tracing JSON (WriteChromeTrace), a
+// collapsed-stack flamegraph format (WriteCollapsed) and a plain-text
+// phase report (WriteReport); cmd/mctrace is the command-line front
+// end (-format chrome|collapsed|phases).
 package obs
 
 import (
@@ -41,9 +42,11 @@ type span struct {
 
 // Tracer records spans and instant events on the virtual clock.  The
 // zero value is ready to use; a nil Tracer discards everything at zero
-// cost.  The simulator's cooperative scheduler sequentializes all
-// recording, so no locking is needed (the same discipline the
-// simulator's own Stats and Trace follow).
+// cost.  A Tracer has one writer at a time and takes no locks.  The
+// simulator keeps that rule per scheduler shard: each shard records
+// into its own Tracer, written only by the goroutine running the shard
+// (or by the coordinator while the shard is parked), and the run's end
+// merges them into the caller's Tracer with Merge.
 type Tracer struct {
 	spans []span
 	// stacks[rank] holds the indices of that rank's open spans.
@@ -206,6 +209,63 @@ func (t *Tracer) Unwind(rank, depth int, now float64) {
 		stack = stack[:len(stack)-1]
 	}
 	t.stacks[rank] = stack
+}
+
+// Merge appends the spans and metrics of srcs, which must record
+// disjoint sets of ranks, to t.  One source is appended in record
+// order.  Several are interleaved by start time, then rank, without
+// reordering any rank's own spans (a span starting before one its rank
+// recorded earlier sorts with that earlier span), so the result depends
+// only on each rank's span sequence, not on how ranks were split.
+func (t *Tracer) Merge(srcs ...*Tracer) {
+	if t == nil {
+		return
+	}
+	type ref struct {
+		src, idx, rank int32
+		key            float64
+	}
+	var refs []ref
+	latest := map[int32]float64{}       // per rank: the largest start so far
+	moved := make([][]int32, len(srcs)) // [source][index there] -> index in t
+	for si, s := range srcs {
+		moved[si] = make([]int32, len(s.spans))
+		for i, rec := range s.spans {
+			k, seen := latest[rec.rank]
+			if !seen || rec.start > k {
+				k = rec.start
+			}
+			latest[rec.rank] = k
+			refs = append(refs, ref{int32(si), int32(i), rec.rank, k})
+		}
+	}
+	if len(srcs) > 1 {
+		sort.SliceStable(refs, func(a, b int) bool {
+			if refs[a].key != refs[b].key {
+				return refs[a].key < refs[b].key
+			}
+			return refs[a].rank < refs[b].rank
+		})
+	}
+	for _, r := range refs {
+		rec := srcs[r.src].spans[r.idx]
+		if rec.parent >= 0 {
+			rec.parent = moved[r.src][rec.parent]
+		}
+		moved[r.src][r.idx] = int32(len(t.spans))
+		t.spans = append(t.spans, rec)
+	}
+	for si, s := range srcs {
+		for rank, stack := range s.stacks {
+			for len(t.stacks) <= rank {
+				t.stacks = append(t.stacks, nil)
+			}
+			for _, idx := range stack {
+				t.stacks[rank] = append(t.stacks[rank], moved[si][idx])
+			}
+		}
+		t.MetricsRegistry().Merge(s.metrics)
+	}
 }
 
 // SetRankName labels a rank for exports (thread names in the Chrome

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -206,5 +207,80 @@ func TestCollapsedStacksSelfTime(t *testing.T) {
 	}
 	if strings.Count(got, "\n") != 2 {
 		t.Errorf("expected 2 lines, got %q", got)
+	}
+}
+
+// TestMerge checks the shard-merge contract: one source is appended in
+// record order; several are interleaved by (start, rank) without
+// reordering any rank's own spans, parents and open stacks follow
+// their spans, and metrics add up.
+func TestMerge(t *testing.T) {
+	// Two sources over disjoint ranks.  Rank 1 records an instant that
+	// starts before its previous span, as a timer firing behind the
+	// rank's clock does.
+	a, b := NewTracer(), NewTracer()
+	outer := a.Begin(0, "outer", 1)
+	a.Begin(0, "inner", 2).End(3)
+	outer.End(4)
+	a.Begin(0, "open", 5) // left open, like a crashed rank's span
+	b.Begin(1, "late", 3).End(6)
+	b.Instant(1, "behind", 2)
+	b.Begin(1, "first", 0).End(0.5)
+	a.MetricsRegistry().Counter("c").Add(2)
+	b.MetricsRegistry().Counter("c").Add(3)
+	a.MetricsRegistry().Histogram("h", DefBytesBuckets).Observe(10)
+	b.MetricsRegistry().Histogram("h", DefBytesBuckets).Observe(1000)
+	b.MetricsRegistry().Gauge("g").Set(7)
+
+	// Merge into a tracer that already holds a span, as a tracer reused
+	// across runs does.
+	dst := NewTracer()
+	dst.Instant(5, "before", 0)
+	dst.Merge(a, b)
+	var got []string
+	for _, v := range dst.Spans() {
+		got = append(got, fmt.Sprintf("%d:%s@%g/%d", v.Rank, v.Name, v.Start, v.Depth))
+	}
+	want := []string{"5:before@0/0", "0:outer@1/0", "0:inner@2/1", "1:late@3/0", "1:behind@2/0", "1:first@0/0", "0:open@5/0"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("merged order:\n got %v\nwant %v", got, want)
+	}
+	if n := dst.OpenSpans(); n != 1 {
+		t.Errorf("OpenSpans = %d, want the one open source span", n)
+	}
+	// The open span's stack entry must point at the merged span: ending
+	// it at the top of rank 0's stack must succeed.
+	dst.Unwind(0, 0, 9)
+	if v := dst.Spans()[6]; v.Name != "open" || v.End != 9 {
+		t.Errorf("open span after Unwind = %+v", v)
+	}
+	// Parent links follow: the collapsed export nests inner under outer.
+	var buf bytes.Buffer
+	if err := dst.WriteCollapsed(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "rank 0;outer;inner 1000000000\n") {
+		t.Errorf("collapsed export lost the parent link:\n%s", buf.String())
+	}
+	m := dst.MetricsRegistry()
+	if v := m.Counter("c").Value(); v != 5 {
+		t.Errorf("counter c = %d, want 5", v)
+	}
+	if h := m.Histogram("h", nil); h.Count() != 2 || h.Sum() != 1010 {
+		t.Errorf("histogram h: %d samples, sum %g; want 2, 1010", h.Count(), h.Sum())
+	}
+	if v, ok := m.Gauge("g").Value(); !ok || v != 7 {
+		t.Errorf("gauge g = %g (set %v), want 7", v, ok)
+	}
+
+	// One source keeps its record order exactly.
+	one := NewTracer()
+	one.Merge(b)
+	var names []string
+	for _, v := range one.Spans() {
+		names = append(names, v.Name)
+	}
+	if strings.Join(names, ",") != "late,behind,first" {
+		t.Errorf("single-source merge reordered spans: %v", names)
 	}
 }

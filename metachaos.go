@@ -90,8 +90,8 @@ type (
 	FaultRates = faultsim.Rates
 )
 
-// Virtual-time observability (see internal/obs, cmd/mcprof and the
-// observability section of DESIGN.md).  Attach a Tracer through
+// Virtual-time observability (see internal/obs, cmd/mctrace -format and
+// the observability section of DESIGN.md).  Attach a Tracer through
 // Config.Obs; a nil Tracer keeps the whole layer off at the cost of a
 // pointer comparison per instrumented point.
 type (

@@ -5,6 +5,10 @@
 # allocs/op growth beyond runtime jitter (one per million) on a gated
 # benchmark.
 #
+# The benchmarks run at -cpu 1, the host shape the committed baselines
+# were recorded at: with one CPU the 256-rank ScheduleRepair worlds stay
+# on one scheduler shard, so allocs/op are deterministic.
+#
 # Usage:
 #   scripts/benchdiff.sh                        # newest BENCH_*.json
 #   scripts/benchdiff.sh BENCH_2026-08-06.json  # explicit baseline
@@ -24,5 +28,5 @@ if [ -z "$baseline" ] || [ ! -f "$baseline" ]; then
 	exit 2
 fi
 echo "benchdiff: baseline $baseline, count $count" >&2
-go test -run '^$' -bench "$filter" -benchmem -count "$count" . |
+go test -run '^$' -bench "$filter" -benchmem -cpu 1 -count "$count" . |
 	go run ./cmd/benchdiff -baseline "$baseline" -filter "$filter" -
