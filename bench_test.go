@@ -316,31 +316,28 @@ func BenchmarkMoveObsOff(b *testing.B) {
 }
 
 func BenchmarkScheduleRepair(b *testing.B) {
-	// O(delta) incremental schedule repair against the collective
+	// Re-scheduling without the inspector against the collective
 	// recompute it replaces: a 256-rank block redistribution whose
-	// rank-17/18 boundary shifts by one element.  repair diffs the two
-	// route maps and patches a cloned donor schedule — pure local work,
-	// no world; rebuild pays the full 256-process inspector collective
-	// for the same class of transfer.
+	// rank-17/18 boundary shifts by one element.  repair assembles rank
+	// 17's schedule for the shifted routing from its route map
+	// (NewScheduleFromRoutes) — pure local work, O(runs of the map), no
+	// world; rebuild pays the full 256-process inspector collective for
+	// the same class of transfer.
 	const ranks = 256
 	const blk = 64
 	const n = ranks * blk
 
 	even := make([]int, ranks)
 	world := make([]int, ranks)
-	shifted := make([]int, ranks)
+	moved := make([]int, ranks)
 	for i := range even {
-		even[i], world[i], shifted[i] = blk, i, blk
+		even[i], world[i], moved[i] = blk, i, blk
 	}
 	// Destination boundaries sit half a block off the source's, so
-	// every rank exchanges half its block with a neighbor.
-	shifted[0] = blk / 2
-	shifted[ranks-1] = blk + blk/2
-	rmOld, err := metachaos.BlockRoutes(even, shifted, world, world)
-	if err != nil {
-		b.Fatal(err)
-	}
-	moved := append([]int(nil), shifted...)
+	// every rank exchanges half its block with a neighbor; then the
+	// rank-17/18 boundary shifts by one element.
+	moved[0] = blk / 2
+	moved[ranks-1] = blk + blk/2
 	moved[17]--
 	moved[18]++
 	rmNew, err := metachaos.BlockRoutes(even, moved, world, world)
@@ -348,32 +345,23 @@ func BenchmarkScheduleRepair(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	// A throwaway world supplies the union communicator the donor
-	// schedule binds to; the schedule itself assembles locally.
-	var donor *metachaos.Schedule
-	var view metachaos.RankView
+	// A throwaway world supplies the union communicator the schedule
+	// binds to; the schedule itself assembles locally.
+	var g *metachaos.Coupling
+	var me int
 	metachaos.RunSPMD(metachaos.Ideal(), ranks, func(p *metachaos.Proc) {
-		if p.Rank() != 17 {
-			return
+		if p.Rank() == 17 {
+			g, me = metachaos.SingleProgram(p.Comm()), p.WorldRank()
 		}
-		g := metachaos.SingleProgram(p.Comm())
-		s, err := metachaos.NewScheduleFromRoutes(g, rmOld, metachaos.Float64, p.WorldRank())
-		if err != nil {
-			panic(err)
-		}
-		donor, view = s, g.View()
 	})
 
 	b.Run("repair", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			delta := rmOld.Diff(rmNew)
-			patched := donor.Clone()
-			if err := patched.Repair(delta, view); err != nil {
+			if _, err := metachaos.NewScheduleFromRoutes(g, rmNew, metachaos.Float64, me); err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(rmOld.Diff(rmNew).Frac(), "delta-frac")
 	})
 
 	b.Run("rebuild", func(b *testing.B) {

@@ -33,7 +33,7 @@ func main() {
 		procs    = flag.Int("max-procs", 0, "max processes per distribution side (0 = default)")
 		lease    = flag.Duration("lease", 0, "session lease TTL (0 = default, negative disables expiry)")
 		journal  = flag.Int("max-journal", 0, "per-coupling respawn journal bound (0 = default, negative disables)")
-		cacheCap = flag.Int("cache-entries", 0, "per-rank schedule cache bound with LRU eviction (0 = default, negative = unbounded)")
+		cacheCap = flag.Int("cache-entries", 0, "per-rank bound on resident schedules beyond open couplings, LRU-evicted (0 = default, negative = unbounded)")
 		panicAt  = flag.Int("panic-batch", 0, "chaos: first incarnation of every world panics at this batch (0 = off)")
 		quiet    = flag.Bool("quiet", false, "suppress lifecycle logging")
 	)

@@ -41,12 +41,6 @@ type ScheduleCache struct {
 	// incarnation is the group-membership generation the cached
 	// schedules were computed under (see SetIncarnation).
 	incarnation int
-	// stale holds the previous incarnation's entries after an
-	// AdvanceIncarnation: no longer served by Get (their lanes may name
-	// dead or renumbered ranks), but retrievable with TakeStale as
-	// repair donors — a repairable entry plus a small membership delta
-	// is far cheaper than a collective rebuild.
-	stale map[string]*Schedule
 }
 
 // cacheEntry pairs a cached schedule with its last-use stamp.
@@ -205,8 +199,8 @@ func (c *ScheduleCache) Invalidate(key string) {
 	}
 }
 
-// Clear drops every entry (current and stale) but keeps the hit/miss
-// counters.  Evicted schedules return their pooled staging segments.
+// Clear drops every entry but keeps the hit/miss counters.  Evicted
+// schedules return their pooled staging segments.
 func (c *ScheduleCache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -214,7 +208,6 @@ func (c *ScheduleCache) Clear() {
 		e.s.releaseScratch()
 	}
 	c.entries = nil
-	c.dropStaleLocked()
 }
 
 // SetIncarnation keys the whole cache on the group-membership
@@ -232,54 +225,7 @@ func (c *ScheduleCache) SetIncarnation(n int) {
 			e.s.releaseScratch()
 		}
 		c.entries = nil
-		c.dropStaleLocked()
 	}
-}
-
-// AdvanceIncarnation is SetIncarnation for callers that intend to
-// repair: instead of dropping the old generation's entries outright it
-// moves them to the stale set, where TakeStale can claim them as
-// repair donors.  Entries already stale from an earlier advance are
-// dropped — two membership changes back is too far gone to patch.
-func (c *ScheduleCache) AdvanceIncarnation(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n == c.incarnation {
-		return
-	}
-	c.incarnation = n
-	c.dropStaleLocked()
-	if len(c.entries) > 0 {
-		c.stale = make(map[string]*Schedule, len(c.entries))
-		for k, e := range c.entries {
-			c.stale[k] = e.s
-		}
-	}
-	c.entries = nil
-}
-
-// TakeStale removes and returns the previous incarnation's entry for
-// (key, et), or nil when there is none.  The caller owns the returned
-// schedule: repair it (Clone/Repair/Rebind) and Put the result back
-// under the current incarnation, or discard it.  Get never serves
-// stale entries.
-func (c *ScheduleCache) TakeStale(key string, et ElemType) *Schedule {
-	full := key + "|" + et.String()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stale[full]
-	if s != nil {
-		delete(c.stale, full)
-	}
-	return s
-}
-
-// dropStaleLocked releases and clears the stale set; callers hold mu.
-func (c *ScheduleCache) dropStaleLocked() {
-	for _, s := range c.stale {
-		s.releaseScratch()
-	}
-	c.stale = nil
 }
 
 // Incarnation returns the generation the cache is currently keyed on.

@@ -309,3 +309,44 @@ func TestScheduleCacheUnboundedByDefault(t *testing.T) {
 		t.Errorf("Evictions() = %d, want 0", cache.Evictions())
 	}
 }
+
+// TestScheduleCacheSetIncarnation pins the membership keying the
+// elastic grow path relies on: a same-incarnation call keeps every
+// entry, a new incarnation drops them all so the next Get rebuilds,
+// and a schedule built while the incarnation changed is returned to
+// its caller but not cached.
+func TestScheduleCacheSetIncarnation(t *testing.T) {
+	cache := NewScheduleCache()
+	old := &Schedule{elem: Float64}
+	if err := cache.Put("vec", Float64, old); err != nil {
+		t.Fatal(err)
+	}
+	cache.SetIncarnation(0)
+	if got, _ := cache.Get("vec", Float64, func() (*Schedule, error) {
+		t.Error("a same-incarnation call dropped a current entry")
+		return &Schedule{elem: Float64}, nil
+	}); got != old {
+		t.Fatalf("Get = %p, want the cached entry %p", got, old)
+	}
+
+	cache.SetIncarnation(1)
+	if cache.Len() != 0 || cache.Incarnation() != 1 {
+		t.Fatalf("after a new incarnation: Len %d, Incarnation %d; want 0, 1", cache.Len(), cache.Incarnation())
+	}
+	built := &Schedule{elem: Float64}
+	if got, _ := cache.Get("vec", Float64, func() (*Schedule, error) { return built, nil }); got != built {
+		t.Fatalf("Get = %p, want a rebuild %p, not the previous incarnation's entry", got, built)
+	}
+
+	straddle := &Schedule{elem: Float64}
+	got, err := cache.Get("other", Float64, func() (*Schedule, error) {
+		cache.SetIncarnation(2)
+		return straddle, nil
+	})
+	if err != nil || got != straddle {
+		t.Fatalf("straddling Get = %p, %v; want the built schedule", got, err)
+	}
+	if cache.Len() != 0 {
+		t.Errorf("a schedule built across an incarnation change was cached (Len %d)", cache.Len())
+	}
+}

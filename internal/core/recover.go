@@ -29,18 +29,6 @@ type RecoveryHooks struct {
 	// A process outside one side returns nil for that side, exactly as
 	// with ComputeSchedule.
 	Rebuild func(g *Coupling) (src, dst *Spec, err error)
-	// Routes, when non-nil, computes the rebuilt transfer's route map
-	// locally (typically ComputeRoutes, or BlockRoutes from the
-	// application's own block bookkeeping).  With routes available —
-	// on the old schedule and from this hook — recovery tries an
-	// incremental repair before falling back to the collective
-	// recompute: rebuild on the first round, repair on later shrinks
-	// whose delta stays within policy.  The hook must be deterministic
-	// over SPMD-replicated state so every survivor takes the same path.
-	Routes func(g *Coupling, src, dst *Spec) (*RouteMap, error)
-	// Repair bounds the repair-vs-rebuild decision; the zero value uses
-	// the default policy.
-	Repair RepairPolicy
 }
 
 // Recovered reports how a MoveWithRecovery call completed.
@@ -150,34 +138,7 @@ func MoveWithRecovery(c *Coupling, sched *Schedule, method Method, run func(*Sch
 			return rec, fmt.Errorf("core: rebuilding for recovery round %d: %w", round+1, err)
 		}
 		spr := p.Span("move.retry")
-		// Repair-first: when the old schedule carries routes and the
-		// Routes hook can derive the survivors' routing locally, a
-		// within-policy delta patches a clone of the old schedule with
-		// no collective at all; RepairOrRebuild falls back to the
-		// reliable collective recompute otherwise.  Both the routes and
-		// the policy are SPMD-replicated, so every survivor branches
-		// the same way.
-		var newRoutes *RouteMap
-		if hooks.Routes != nil && sched.HasRoutes() {
-			if newRoutes, err = hooks.Routes(g, src, dst); err != nil {
-				spr.End(p.Clock())
-				return rec, fmt.Errorf("core: computing routes for recovery round %d: %w", round+1, err)
-			}
-		}
-		rebuild := func() (*Schedule, error) {
-			ns, err := ComputeScheduleReliable(g, src, dst, method, RetryPolicy{Attempts: pol.Attempts, Deadline: deadline})
-			if err == nil && newRoutes != nil {
-				if aerr := ns.AttachRoutes(newRoutes, p.WorldRank()); aerr != nil {
-					return nil, aerr
-				}
-			}
-			return ns, err
-		}
-		var repaired bool
-		sched, repaired, err = RepairOrRebuild(sched, newRoutes, g.View(), hooks.Repair, rebuild)
-		if repaired {
-			sched.Rebind(g.Union)
-		}
+		sched, err = ComputeScheduleReliable(g, src, dst, method, RetryPolicy{Attempts: pol.Attempts, Deadline: deadline})
 		spr.End(p.Clock())
 		if err != nil {
 			return rec, fmt.Errorf("core: recomputing schedule for recovery round %d: %w", round+1, err)

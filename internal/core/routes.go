@@ -7,12 +7,11 @@ import "fmt"
 // (source rank, source offset) feeds which (destination rank,
 // destination offset).  A RouteMap is what a Schedule looks like
 // *before* it is specialized to one process: every rank holding the
-// same route map can assemble its own send/receive/local lists from it
-// locally, with no communication.  That is the foundation of
-// incremental schedule repair (repair.go): when a redistribution moves
-// a small delta of the elements, diffing the old and new route maps
-// bounds the change, and patching a cached schedule is a local
-// reassembly instead of a collective O(world) recompute.
+// same route map assembles its own send/receive/local lists from it
+// locally (NewScheduleFromRoutes), with no communication.  That is how
+// a schedule is rebuilt without the collective inspector: the elastic
+// grow path and the coupling service derive the map from both sides'
+// descriptors and assemble from it, in O(runs of the map).
 //
 // Ranks in a RouteMap are *world* ranks, not union ranks.  Union ranks
 // are renumbered by every grow or shrink (the union communicator is
@@ -105,9 +104,9 @@ func ComputeRoutes(c *Coupling, src, dst *Spec) (*RouteMap, error) {
 // O(parts) — no dereference, no Ctx, no world.  Part i of the source
 // side holds srcCounts[i] consecutive positions (offsets 0..count-1
 // locally) on world rank srcWorld[i]; likewise for the destination.
-// It is the O(delta)-friendly constructor for the common "a boundary
-// shifted / a rank joined" case, and the harness-side generator for
-// repair benchmarks and tests.
+// It is the cheap constructor for the common "a boundary shifted / a
+// rank joined" case, and the harness-side generator for assembly
+// benchmarks and tests.
 func BlockRoutes(srcCounts, dstCounts, srcWorld, dstWorld []int) (*RouteMap, error) {
 	if len(srcCounts) != len(srcWorld) || len(dstCounts) != len(dstWorld) {
 		return nil, fmt.Errorf("core: block routes: counts and world-rank lists disagree (%d/%d source, %d/%d destination)",
@@ -155,57 +154,70 @@ func BlockRoutes(srcCounts, dstCounts, srcWorld, dstWorld []int) (*RouteMap, err
 	return rm, nil
 }
 
-// RouteDelta is the outcome of diffing two route maps: the new map,
-// plus how many element positions route differently.  Changed is what
-// the RepairOrRebuild policy thresholds on.
-type RouteDelta struct {
-	// Next is the new routing.
-	Next *RouteMap
-	// Changed counts positions whose (source rank, source offset,
-	// destination rank, destination offset) differ between the maps.
-	Changed int
+// NewScheduleFromRoutes assembles a process's schedule directly from a
+// route map, with no communication at all.  Every process holding the
+// same (SPMD-replicated) route map derives lists that interoperate lane
+// for lane with its peers', because both endpoints of every lane
+// enumerate the same positions in the same order — and those lists
+// equal, in lane order, what the collective ComputeSchedule builds for
+// the same transfer.  myWorld is the calling process's world rank.
+func NewScheduleFromRoutes(g *Coupling, rm *RouteMap, et ElemType, myWorld int) (*Schedule, error) {
+	if rm == nil {
+		return nil, fmt.Errorf("core: building schedule from nil route map")
+	}
+	s := &Schedule{union: g.Union, elems: rm.Elems, elem: et}
+	if err := s.assembleFromRoutes(rm, myWorld); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
-// Frac returns the changed fraction of the transfer, in [0, 1].
-func (d *RouteDelta) Frac() float64 {
-	if d.Next == nil || d.Next.Elems == 0 {
-		return 1
+// assembleFromRoutes fills the schedule's send/receive/local lists for
+// world rank myWorld from rm, translating peer world ranks to ranks of
+// the schedule's union.  Lanes come out in first-encounter order over
+// the position-sorted runs — the same order both collective builders
+// produce, since their fragments arrive in position order too.
+func (s *Schedule) assembleFromRoutes(rm *RouteMap, myWorld int) error {
+	my := int32(myWorld)
+	laneIdx := map[int]int{}
+	lane := func(lanes *[]PeerList, peerWorld int32) (*PeerList, error) {
+		u, ok := s.union.RankOf(int(peerWorld))
+		if !ok {
+			return nil, fmt.Errorf("core: route peer world rank %d is not in the union", peerWorld)
+		}
+		// Send and receive peers share the index map: a rank never both
+		// sends to and receives from the same peer within one schedule
+		// direction (a position routes one way), except through distinct
+		// lanes keyed by list identity — so key on (list, peer).
+		key := u*2 + 1
+		if lanes == &s.Sends {
+			key = u * 2
+		}
+		if i, ok := laneIdx[key]; ok {
+			return &(*lanes)[i], nil
+		}
+		laneIdx[key] = len(*lanes)
+		*lanes = append(*lanes, PeerList{Peer: u})
+		return &(*lanes)[len(*lanes)-1], nil
 	}
-	return float64(d.Changed) / float64(d.Next.Elems)
-}
-
-// Diff compares this route map against next, counting the positions
-// that route differently.  It walks the two run lists with boundary
-// splitting, so the cost is O(runs), independent of the element count.
-// Maps with different element counts are treated as fully changed.
-func (rm *RouteMap) Diff(next *RouteMap) *RouteDelta {
-	d := &RouteDelta{Next: next}
-	if rm == nil || rm.Elems != next.Elems {
-		d.Changed = next.Elems
-		return d
+	for i := range rm.Runs {
+		r := &rm.Runs[i]
+		switch {
+		case r.SrcRank == my && r.DstRank == my:
+			s.Local = appendWholeLocalRun(s.Local, r.SrcOff, r.SrcStride, r.DstOff, r.DstStride, r.Count)
+		case r.SrcRank == my:
+			pl, err := lane(&s.Sends, r.DstRank)
+			if err != nil {
+				return err
+			}
+			pl.Runs = appendWholeRun(pl.Runs, r.SrcOff, r.SrcStride, r.Count)
+		case r.DstRank == my:
+			pl, err := lane(&s.Recvs, r.SrcRank)
+			if err != nil {
+				return err
+			}
+			pl.Runs = appendWholeRun(pl.Runs, r.DstOff, r.DstStride, r.Count)
+		}
 	}
-	oi, ni := 0, 0
-	pos := int32(0)
-	for int(pos) < rm.Elems {
-		for oi < len(rm.Runs) && pos >= rm.Runs[oi].Pos+rm.Runs[oi].Count {
-			oi++
-		}
-		for ni < len(next.Runs) && pos >= next.Runs[ni].Pos+next.Runs[ni].Count {
-			ni++
-		}
-		o, nr := &rm.Runs[oi], &next.Runs[ni]
-		end := o.Pos + o.Count
-		if e := nr.Pos + nr.Count; e < end {
-			end = e
-		}
-		ko, kn := pos-o.Pos, pos-nr.Pos
-		same := o.SrcRank == nr.SrcRank && o.DstRank == nr.DstRank &&
-			o.srcAt(ko) == nr.srcAt(kn) && o.dstAt(ko) == nr.dstAt(kn) &&
-			(end-pos == 1 || (o.SrcStride == nr.SrcStride && o.DstStride == nr.DstStride))
-		if !same {
-			d.Changed += int(end - pos)
-		}
-		pos = end
-	}
-	return d
+	return nil
 }

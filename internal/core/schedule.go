@@ -95,12 +95,6 @@ type Schedule struct {
 	Recvs []PeerList
 	Local []LocalRun
 
-	// routes, when non-nil, is the transfer's world-rank route map and
-	// makes the schedule repairable (see repair.go); myWorld is the
-	// world rank the lists are specialized to.
-	routes  *RouteMap
-	myWorld int
-
 	moveSeq int
 
 	// timeout bounds each move's receive phase in virtual seconds when

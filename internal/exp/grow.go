@@ -17,19 +17,14 @@ import (
 // elastic.go's crash-and-shrink.  Joiners start dormant
 // (mpsim.Config.Join); when one enters, every participant — incumbent
 // and joiner alike — re-derives the coupling over the enlarged group
-// and obtains new schedules WITHOUT a collective inspector run:
-//
-//   - every process computes the transfer's RouteMap locally from the
-//     two sides' distribution descriptors (pure arithmetic);
-//   - incumbents claim their previous-incarnation schedules from the
-//     cache's stale set (AdvanceIncarnation / TakeStale) and Repair
-//     them against the new map;
-//   - the joiner, which has nothing to repair, assembles its schedule
-//     from the same map with NewScheduleFromRoutes.
-//
-// Both paths specialize the identical route map, so the resulting
-// schedules interoperate lane for lane.  The grow slot costs only the
-// matrix re-ship (data), never an O(world) schedule collective.
+// and obtains new schedules WITHOUT a collective inspector run: each
+// computes the transfer's RouteMap locally from the two sides'
+// distribution descriptors (pure arithmetic) and assembles its
+// schedule from the map with NewScheduleFromRoutes.  Every process
+// specializes the identical route map, so the resulting schedules
+// interoperate lane for lane.
+// The grow slot costs only the matrix re-ship (data), never an
+// O(world) schedule collective.
 //
 // Because the server's MatVec allgathers the operand and reduces each
 // row left-to-right, the committed iterates are bit-identical for any
@@ -77,9 +72,6 @@ type ElasticGrowResult struct {
 	// Grows counts growth slots (boundaries where the membership
 	// enlarged; two ranks joining within one slot count once).
 	Grows int
-	// Repaired counts schedules the client patched from a stale donor
-	// across incarnations (2 per growth slot: matrix and vector).
-	Repaired int
 	// Joins is the run's join history from the simulator.
 	Joins []mpsim.JoinRecord
 	// Makespan is the run's virtual-time length in seconds.
@@ -155,27 +147,11 @@ func growRoutes(ctx *core.Ctx, g *core.Coupling, srcDist, dstDist *distarray.Dis
 }
 
 // growResolve obtains a schedule for the new route map without any
-// communication: an incumbent's stale entry is claimed as a donor and
-// repaired; a process with no donor (the joiner, or anyone's first
-// setup) assembles from the map directly.  Repair is applied for any
-// delta size here — it reassembles fully from the new map, so it is
-// correct regardless; the delta-fraction policy (RepairPolicy) is a
-// performance heuristic for callers whose fallback is a collective,
-// which the grow path deliberately never takes so that joiners and
-// incumbents stay in lockstep without one.
-func growResolve(cache *core.ScheduleCache, g *core.Coupling, key string, rm *core.RouteMap, myWorld int, repaired *int) *core.Schedule {
+// communication: the cache, keyed on the group incarnation, serves it
+// if this membership already built it, and otherwise it is assembled
+// from the map.
+func growResolve(cache *core.ScheduleCache, g *core.Coupling, key string, rm *core.RouteMap, myWorld int) *core.Schedule {
 	s, err := cache.Get(key, core.Float64, func() (*core.Schedule, error) {
-		if donor := cache.TakeStale(key, core.Float64); donor != nil {
-			patched := donor.Clone()
-			if err := patched.Repair(donor.Routes().Diff(rm), g.View()); err != nil {
-				return nil, err
-			}
-			patched.Rebind(g.Union)
-			if repaired != nil {
-				*repaired++
-			}
-			return patched, nil
-		}
 		return core.NewScheduleFromRoutes(g, rm, core.Float64, myWorld)
 	})
 	if err != nil {
@@ -234,22 +210,17 @@ func runElasticGrow(cfg ElasticGrowConfig) ElasticGrowResult {
 					if err != nil {
 						panic(err)
 					}
-					// Move the previous incarnation's entries to the
-					// stale set so growResolve can repair them; the
-					// joiner-side first call is a plain SetIncarnation.
-					cache.AdvanceIncarnation(p.GroupIncarnation())
+					cache.SetIncarnation(p.GroupIncarnation())
 					ns := len(srv)
 					matSched = growResolve(cache, coupling, "mat",
 						growRoutes(ctx, coupling, hpfrt.RowBlockMatrix(n, n, 1), hpfrt.RowBlockMatrix(n, n, ns), matSec),
-						p.WorldRank(), &out.Repaired)
+						p.WorldRank())
 					vecSched = growResolve(cache, coupling, "vec",
 						growRoutes(ctx, coupling, hpfrt.BlockVector(n, 1), hpfrt.BlockVector(n, ns), vecSec),
-						p.WorldRank(), &out.Repaired)
+						p.WorldRank())
 					matSched.MoveSend(a)
 				}
 				setup()
-				// The initial setup assembles from routes, not a donor.
-				out.Repaired = 0
 
 				it, slot, known, attempted := 0, 0, len(p.AbsentRanks()), false
 				for {
@@ -306,13 +277,13 @@ func runElasticGrow(cfg ElasticGrowConfig) ElasticGrowResult {
 					if err != nil {
 						panic(err)
 					}
-					cache.AdvanceIncarnation(p.GroupIncarnation())
+					cache.SetIncarnation(p.GroupIncarnation())
 					matSched = growResolve(cache, coupling, "mat",
 						growRoutes(ctx, coupling, hpfrt.RowBlockMatrix(n, n, 1), hpfrt.RowBlockMatrix(n, n, ns), matSec),
-						p.WorldRank(), nil)
+						p.WorldRank())
 					vecSched = growResolve(cache, coupling, "vec",
 						growRoutes(ctx, coupling, hpfrt.BlockVector(n, 1), hpfrt.BlockVector(n, ns), vecSec),
-						p.WorldRank(), nil)
+						p.WorldRank())
 					matSched.MoveRecv(a)
 				}
 

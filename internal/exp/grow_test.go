@@ -4,18 +4,42 @@ import (
 	"testing"
 
 	"metachaos/internal/faultsim"
+	"metachaos/internal/obs"
 )
+
+// assertNoScheduleCollective fails when a traced run recorded a
+// collective inspector span (sched.compute), or no spans at all — an
+// empty trace would pass the first check without proving anything.
+func assertNoScheduleCollective(t *testing.T, run string, tr *obs.Tracer) {
+	t.Helper()
+	spans := tr.Spans()
+	if len(spans) == 0 {
+		t.Errorf("%s recorded no spans; the tracer is not attached", run)
+		return
+	}
+	n := 0
+	for _, v := range spans {
+		if v.Name == "sched.compute" {
+			n++
+		}
+	}
+	if n != 0 {
+		t.Errorf("%s recorded %d sched.compute spans, want 0", run, n)
+	}
+}
 
 // TestElasticGrowBitIdentical is the scale-out tentpole's end-to-end
 // assertion: a run that starts on 2 servers and grows to 4 mid-run —
-// repairing its cached schedules from the stale donors instead of
-// recomputing them collectively — must finish with exactly the
+// assembling its schedules from route maps instead of recomputing
+// them collectively — must finish with exactly the
 // ResultHash of a fault-free run that had all 4 servers from t=0.
 // Checked fault-free and under the pinned "growth" chaos profile's
 // message faults, on one shard and on four.
 func TestElasticGrowBitIdentical(t *testing.T) {
 	cfg := ElasticGrowConfig{StartProcs: 2, GrowProcs: 2, Iters: 5, Seed: chaosSeed(t, 11)}
-	grown, clean := ElasticGrow(cfg)
+	traced := cfg
+	traced.Obs = obs.NewTracer()
+	grown, clean := ElasticGrow(traced)
 
 	if clean.ResultHash == 0 {
 		t.Fatal("full-size reference run produced a zero result hash")
@@ -39,12 +63,9 @@ func TestElasticGrowBitIdentical(t *testing.T) {
 				j.Rank, cfg.StartProcs, cfg.StartProcs+cfg.GrowProcs)
 		}
 	}
-	// Every growth slot repairs the client's matrix and vector
-	// schedules from their stale donors — never a collective rebuild.
-	if want := 2 * grown.Grows; grown.Repaired != want {
-		t.Errorf("client repaired %d schedules across %d grows, want %d",
-			grown.Repaired, grown.Grows, want)
-	}
+	// Every schedule of the grown run, before and after each growth
+	// slot, is assembled from a route map — never a collective build.
+	assertNoScheduleCollective(t, "grown run", traced.Obs)
 	if grown.Makespan <= clean.Makespan {
 		t.Errorf("grown makespan %g not above full-size %g (small start costs throughput)",
 			grown.Makespan, clean.Makespan)
@@ -53,20 +74,22 @@ func TestElasticGrowBitIdentical(t *testing.T) {
 	// Same seed, fresh everything: identical outcome.
 	grown2 := runElasticGrow(cfg)
 	if grown2.ResultHash != grown.ResultHash || grown2.Makespan != grown.Makespan ||
-		grown2.Grows != grown.Grows || grown2.Repaired != grown.Repaired {
-		t.Errorf("nondeterministic replay: hash %#x vs %#x, makespan %g vs %g, grows %d vs %d, repairs %d vs %d",
+		grown2.Grows != grown.Grows {
+		t.Errorf("nondeterministic replay: hash %#x vs %#x, makespan %g vs %g, grows %d vs %d",
 			grown2.ResultHash, grown.ResultHash, grown2.Makespan, grown.Makespan,
-			grown2.Grows, grown.Grows, grown2.Repaired, grown.Repaired)
+			grown2.Grows, grown.Grows)
 	}
 
-	// Four shards: bit-identical to one.
+	// Four shards: bit-identical to one, and still no collective build.
 	sharded := cfg
 	sharded.Shards = 4
+	sharded.Obs = obs.NewTracer()
 	grownN := runElasticGrow(sharded)
 	if grownN.ResultHash != grown.ResultHash || grownN.Makespan != grown.Makespan {
 		t.Errorf("sharded run diverged: hash %#x vs one-shard %#x, makespan %g vs %g",
 			grownN.ResultHash, grown.ResultHash, grownN.Makespan, grown.Makespan)
 	}
+	assertNoScheduleCollective(t, "4-shard grown run", sharded.Obs)
 
 	// Under the pinned growth profile's message faults with reliable
 	// transport: still bit-identical, on one shard and on four.
@@ -96,7 +119,9 @@ func TestChaosElasticGrow(t *testing.T) {
 		StartProcs: 2, GrowProcs: 2, Iters: 5, Seed: seed,
 		Fault: faultsim.Growth(seed),
 	}
-	grown, clean := ElasticGrow(cfg)
+	traced := cfg
+	traced.Obs = obs.NewTracer()
+	grown, clean := ElasticGrow(traced)
 	if clean.ResultHash == 0 {
 		t.Fatal("full-size reference run produced a zero result hash")
 	}
@@ -104,23 +129,31 @@ func TestChaosElasticGrow(t *testing.T) {
 		t.Errorf("result hash %#x under faults, want full-size fault-free %#x (bit-identical)",
 			grown.ResultHash, clean.ResultHash)
 	}
-	if grown.Grows < 1 || grown.Repaired < 2 {
-		t.Errorf("grows=%d repaired=%d; the growth profile must exercise the repair path",
-			grown.Grows, grown.Repaired)
+	if grown.Grows < 1 {
+		t.Error("no growth slot observed; the growth profile must exercise the join path")
 	}
+	assertNoScheduleCollective(t, "grown run", traced.Obs)
 
 	grown2 := runElasticGrow(cfg)
 	if grown2.ResultHash != grown.ResultHash || grown2.Makespan != grown.Makespan {
 		t.Errorf("nondeterministic replay: hash %#x vs %#x, makespan %g vs %g",
 			grown2.ResultHash, grown.ResultHash, grown2.Makespan, grown.Makespan)
 	}
+
+	sharded := cfg
+	sharded.Shards = 4
+	sharded.Obs = obs.NewTracer()
+	if grownN := runElasticGrow(sharded); grownN.ResultHash != grown.ResultHash {
+		t.Errorf("4-shard run hashed %#x, want one-shard %#x", grownN.ResultHash, grown.ResultHash)
+	}
+	assertNoScheduleCollective(t, "4-shard grown run", sharded.Obs)
 }
 
 // TestElasticJoinsAlwaysHitDormantServers pins the join-schedule
 // derivation: every seed must target only the dormant server world
 // ranks (never the client or an initial member) and land inside the
 // first two iteration slots, so the run always has iterations left to
-// exercise the repaired schedules.
+// exercise the schedules assembled after the join.
 func TestElasticJoinsAlwaysHitDormantServers(t *testing.T) {
 	for seed := uint64(0); seed < 200; seed++ {
 		for _, sp := range []int{1, 2, 8} {

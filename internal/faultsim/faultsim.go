@@ -295,7 +295,8 @@ func Flaky(seed uint64) *Profile {
 // Growth is Mild's message faults plus two seed-derived elastic joins:
 // two ranks (chosen modulo the world size at run time) start dormant
 // and enter the running world at seed-derived virtual times early in
-// the run, exercising the grow/repair path under message chaos.
+// the run, exercising the grow path (schedules assembled from route
+// maps) under message chaos.
 func Growth(seed uint64) *Profile {
 	f := Mild(seed)
 	u := func(salt uint64) float64 { return unit(mix(seed, salt, 0x9107)) }

@@ -524,16 +524,17 @@ func TestServeManyTenants(t *testing.T) {
 	}
 }
 
-// TestServeDonorRepairSharesSchedules pins the descriptor-level
-// sharing path: blockvec(4096) and rowblock(64×64) over the same
-// process count have identical linearized placement, so once the first
-// pair's open has registered a donor schedule with routes, the second
-// pair's route map diffs against it to a zero delta and the open is
-// served by patching the donor locally — no collective inspector —
-// while its moves stay bit-identical to a standalone cold build of the
-// same pair.
-func TestServeDonorRepairSharesSchedules(t *testing.T) {
-	srv, sock := startServer(t, Options{FlushWindow: -1})
+// TestServeRouteOpensSkipCollective pins how a cold open builds its
+// schedule.  With a one-entry cache every open below misses: a
+// route-capable pair (both sides hpfrt or mbparti) assembles its
+// schedule from the route map with no collective and is counted in
+// serve_open_repaired_total; a pcxxrt pair runs the collective
+// inspector and is not.  Reopening the first pair after the LRU
+// evicted it assembles again — nothing outside the cache keeps an
+// evicted schedule alive.  Every move stays bit-identical to a
+// standalone build of the same pair.
+func TestServeRouteOpensSkipCollective(t *testing.T) {
+	srv, sock := startServer(t, Options{FlushWindow: -1, CacheEntries: 1})
 	c := dialT(t, sock, "alice")
 	defer c.Close()
 
@@ -545,38 +546,51 @@ func TestServeDonorRepairSharesSchedules(t *testing.T) {
 		{Library: "hpfrt", Layout: "rowblock", Shape: []int{64, 64}, Procs: 2},
 		{Library: "mbparti", Layout: "blockvec", Shape: []int{4096}, Procs: 2},
 	}
-	for i, spec := range []DistSpec{pairA[0], pairA[1], pairB[0], pairB[1]} {
+	pairC := [2]DistSpec{
+		{Library: "pcxxrt", Layout: "roundrobin", Shape: []int{4096}, Procs: 2},
+		{Library: "hpfrt", Layout: "blockvec", Shape: []int{4096}, Procs: 2},
+	}
+	for i, spec := range []DistSpec{pairA[0], pairA[1], pairB[0], pairB[1], pairC[0], pairC[1]} {
 		if err := c.RegisterDist(i+1, spec); err != nil {
 			t.Fatalf("register %d: %v", i+1, err)
 		}
 	}
-	if _, _, err := c.OpenCoupling(1, 1, 2); err != nil {
-		t.Fatalf("open donor pair: %v", err)
+	// Coupling 4 reopens pair A after B and C pushed it out of the
+	// one-entry cache.
+	opens := []struct {
+		id, srcDist, dstDist int
+		pair                 [2]DistSpec
+		routed               float64 // serve_open_repaired_total after the open
+	}{
+		{1, 1, 2, pairA, 1},
+		{2, 3, 4, pairB, 2},
+		{3, 5, 6, pairC, 2},
+		{4, 1, 2, pairA, 3},
 	}
-	warm, _, err := c.OpenCoupling(2, 3, 4)
-	if err != nil {
-		t.Fatalf("open repaired pair: %v", err)
-	}
-	if warm {
-		t.Error("a distinct pair key should not report a cache hit")
-	}
-	st := srv.Stats()
-	if st["serve_open_repaired_total"] != 1 {
-		t.Errorf("repaired opens = %v, want 1", st["serve_open_repaired_total"])
-	}
-
 	ops := []ScriptOp{{Kind: OpMove, Seed: 3}, {Kind: OpMoveAdd, Seed: 5}, {Kind: OpMoveReverse, Seed: 7}}
-	ref, err := Standalone(pairB[0], pairB[1], ops)
-	if err != nil {
-		t.Fatalf("standalone: %v", err)
-	}
-	for i, so := range ops {
-		got, err := c.Move(2, so.Kind, so.Seed)
+	for _, o := range opens {
+		warm, _, err := c.OpenCoupling(o.id, o.srcDist, o.dstDist)
 		if err != nil {
-			t.Fatalf("move %d: %v", i, err)
+			t.Fatalf("open coupling %d: %v", o.id, err)
 		}
-		if got.Hash != ref[i].Hash {
-			t.Errorf("move %d: repaired-schedule hash %016x != standalone %016x", i, got.Hash, ref[i].Hash)
+		if warm {
+			t.Errorf("coupling %d: open hit the cache, want a cold build", o.id)
+		}
+		if got := srv.Stats()["serve_open_repaired_total"]; got != o.routed {
+			t.Errorf("after opening coupling %d: route-assembled opens = %v, want %v", o.id, got, o.routed)
+		}
+		ref, err := Standalone(o.pair[0], o.pair[1], ops)
+		if err != nil {
+			t.Fatalf("standalone: %v", err)
+		}
+		for i, so := range ops {
+			got, err := c.Move(o.id, so.Kind, so.Seed)
+			if err != nil {
+				t.Fatalf("coupling %d move %d: %v", o.id, i, err)
+			}
+			if got.Hash != ref[i].Hash {
+				t.Errorf("coupling %d move %d: hash %016x != standalone %016x", o.id, i, got.Hash, ref[i].Hash)
+			}
 		}
 	}
 }

@@ -64,7 +64,9 @@ type Options struct {
 	// default; negative disables journaling entirely.
 	MaxJournal int
 	// CacheEntries bounds each resident rank's schedule cache with LRU
-	// eviction.  Zero takes the default; negative means unbounded.
+	// eviction.  The cache is the only place a world keeps schedules
+	// beyond its open couplings' own, so this bounds every resident
+	// schedule.  Zero takes the default; negative means unbounded.
 	CacheEntries int
 	// WorldPanic, when set, injects deterministic world failures: it is
 	// consulted whenever a resident world for (srcProcs, dstProcs)

@@ -302,7 +302,9 @@ func (ss *session) openCoupling(payload []byte) (byte, []byte, error) {
 	if rep.warm {
 		ss.srv.count("serve_open_warm_total", 1)
 	}
-	if rep.repaired {
+	if rep.routed {
+		// Opens assembled from the route map, with no collective; the
+		// key keeps its older name because perfbench reads it.
 		ss.srv.count("serve_open_repaired_total", 1)
 	}
 	ss.srv.noteEvict(run, rep.evict)

@@ -68,16 +68,16 @@ type op struct {
 
 // opReply is the leader's answer to one op.
 type opReply struct {
-	err      error
-	warm     bool // cmdOpen: the schedule came out of the shared cache
-	repaired bool // cmdOpen: built by patching a donor schedule, no collective
-	hash     uint64
-	elems    int
-	cost     float64 // virtual seconds the op took on the leader
-	data     []float64
-	hits     int // leader-rank cumulative schedule-cache counters
-	miss     int
-	evict    int // leader-rank cumulative schedule-cache evictions
+	err    error
+	warm   bool // cmdOpen: the schedule came out of the shared cache
+	routed bool // cmdOpen: assembled from the pair's route map, no collective
+	hash   uint64
+	elems  int
+	cost   float64 // virtual seconds the op took on the leader
+	data   []float64
+	hits   int // leader-rank cumulative schedule-cache counters
+	miss   int
+	evict  int // leader-rank cumulative schedule-cache evictions
 }
 
 // runnerConfig parameterizes one resident-world incarnation.
@@ -312,7 +312,6 @@ func (r *runner) body(p *mpsim.Proc) {
 	cache.SetLimit(r.cfg.cacheCap)
 	leader := coupling.Union.Rank() == 0
 	open := make(map[int64]*resident)
-	var donors []*scheduleDonor
 	batches := 0
 	for {
 		var batch []*op
@@ -348,7 +347,7 @@ func (r *runner) body(p *mpsim.Proc) {
 			var rep opReply
 			switch o.cmd {
 			case cmdOpen:
-				rep = execOpen(p, ctx, coupling, cache, open, &donors, o)
+				rep = execOpen(p, ctx, coupling, cache, open, o)
 			case cmdMove:
 				rep = execMove(p, coupling, open, o)
 			case cmdClose:
@@ -364,48 +363,13 @@ func (r *runner) body(p *mpsim.Proc) {
 	}
 }
 
-// scheduleDonor records a cached schedule that carries a route map, as
-// a repair donor for later opens: a new pair whose routing differs
-// from a donor's by a small delta is patched from the donor's clone
-// locally instead of being built by the collective inspector.  The
-// list is driven by the identical broadcast command stream, so every
-// rank holds the same donors in the same order and makes the same
-// repair-vs-rebuild choice.
-type scheduleDonor struct {
-	key   string
-	et    core.ElemType
-	sched *core.Schedule
-}
-
-// findDonor returns the first donor matching the new transfer's
-// element type and count; insertion order is rank-identical, so the
-// choice is too.
-func findDonor(donors []*scheduleDonor, et core.ElemType, elems int) *scheduleDonor {
-	for _, d := range donors {
-		if d.et == et && d.sched.Elems() == elems {
-			return d
-		}
-	}
-	return nil
-}
-
-// hasDonor reports whether a pair key already registered a donor.
-func hasDonor(donors []*scheduleDonor, key string) bool {
-	for _, d := range donors {
-		if d.key == key {
-			return true
-		}
-	}
-	return false
-}
-
 // routeSpec builds a descriptor-only core.Spec for one side of a
 // coupling: the broadcast carries both DistSpecs, so every rank can
 // construct both descriptors without owning either side's data, which
 // is what lets ComputeRoutes run locally.  Only the regular-section
 // libraries support descriptor-only views (their serve layouts all use
 // halo 0, matching the views); other specs return nil and the open
-// proceeds without routes.
+// builds its schedule with the collective inspector.
 func routeSpec(ctx *core.Ctx, spec *DistSpec) *core.Spec {
 	var lib core.Library
 	switch spec.Library {
@@ -429,15 +393,14 @@ func routeSpec(ctx *core.Ctx, spec *DistSpec) *core.Spec {
 }
 
 // execOpen builds this rank's side of the coupling and resolves its
-// schedule through the shared cache.  Schedule construction is
-// collective: the cache key is identical on every rank, so either all
-// ranks hit (no communication) or all ranks build together.  On a
-// miss, a route-capable pair first derives its route map locally and
-// tries to repair a matching donor schedule — two layouts with the
-// same linearized placement (say blockvec and rowblock over the same
-// element count) share one schedule with no collective at all.
+// schedule through the shared cache.  The cache key is identical on
+// every rank, so either all ranks hit (no communication) or all ranks
+// build together.  On a miss, a route-capable pair (both sides hpfrt
+// or mbparti) derives its route map locally from the two broadcast
+// descriptors and assembles its schedule from the map, with no
+// collective at all; any other pair runs the collective inspector.
 func execOpen(p *mpsim.Proc, ctx *core.Ctx, coupling *core.Coupling,
-	cache *core.ScheduleCache, open map[int64]*resident, donors *[]*scheduleDonor, o *op) opReply {
+	cache *core.ScheduleCache, open map[int64]*resident, o *op) opReply {
 	isSrc := p.Program() == "src"
 	spec := &o.src
 	if !isSrc {
@@ -447,46 +410,29 @@ func execOpen(p *mpsim.Proc, ctx *core.Ctx, coupling *core.Coupling,
 	if err != nil {
 		return opReply{err: err}
 	}
-	key := PairKey(&o.src, &o.dst)
 	hits0, _ := cache.Counters()
-	var repaired bool
-	sched, err := cache.Get(key, o.src.elem(), func() (*core.Schedule, error) {
-		var rm *core.RouteMap
+	var routed bool
+	sched, err := cache.Get(PairKey(&o.src, &o.dst), o.src.elem(), func() (*core.Schedule, error) {
 		if srcRS, dstRS := routeSpec(ctx, &o.src), routeSpec(ctx, &o.dst); srcRS != nil && dstRS != nil {
-			rm, _ = core.ComputeRoutes(coupling, srcRS, dstRS)
-		}
-		collective := func() (*core.Schedule, error) {
-			cs := &core.Spec{Lib: sd.lib, Obj: sd.obj, Set: sd.set, Ctx: ctx}
-			var s *core.Schedule
-			var err error
-			if isSrc {
-				s, err = core.ComputeSchedule(coupling, cs, nil, core.Cooperation)
-			} else {
-				s, err = core.ComputeSchedule(coupling, nil, cs, core.Cooperation)
+			rm, err := core.ComputeRoutes(coupling, srcRS, dstRS)
+			if err != nil {
+				return nil, err
 			}
-			if err == nil && rm != nil {
-				err = s.AttachRoutes(rm, p.WorldRank())
-			}
-			return s, err
+			routed = true
+			return core.NewScheduleFromRoutes(coupling, rm, o.src.elem(), p.WorldRank())
 		}
-		if rm != nil {
-			if don := findDonor(*donors, o.src.elem(), rm.Elems); don != nil {
-				s, rep, err := core.RepairOrRebuild(don.sched, rm, coupling.View(), core.RepairPolicy{}, collective)
-				repaired = rep
-				return s, err
-			}
+		cs := &core.Spec{Lib: sd.lib, Obj: sd.obj, Set: sd.set, Ctx: ctx}
+		if isSrc {
+			return core.ComputeSchedule(coupling, cs, nil, core.Cooperation)
 		}
-		return collective()
+		return core.ComputeSchedule(coupling, nil, cs, core.Cooperation)
 	})
 	if err != nil {
 		return opReply{err: err}
 	}
 	hits1, _ := cache.Counters()
-	if sched.HasRoutes() && !hasDonor(*donors, key) {
-		*donors = append(*donors, &scheduleDonor{key: key, et: o.src.elem(), sched: sched})
-	}
 	open[o.handle] = &resident{isSrc: isSrc, side: sd, sched: sched}
-	return opReply{warm: hits1 > hits0, repaired: repaired, elems: sched.Elems()}
+	return opReply{warm: hits1 > hits0, routed: routed, elems: sched.Elems()}
 }
 
 // execMove runs one data move on an open handle: fill the sending

@@ -169,13 +169,13 @@ var (
 	MoveWithRecovery = core.MoveWithRecovery
 )
 
-// Elastic membership and O(delta) incremental schedule repair (see the
+// Elastic membership and schedules from route maps (see the
 // elastic-membership section of DESIGN.md).  Wire a join plan through
 // Config.Join — e.g. GrowthFaults(seed).JoinPlan() — and the listed
 // ranks start dormant, entering the running world at their scheduled
-// virtual times; schedules carrying route maps (AttachRoutes) are then
-// patched in O(delta) against the new membership instead of recomputed
-// collectively.
+// virtual times; every process then derives the transfer's route map
+// over the new membership (ComputeRoutes or BlockRoutes) and assembles
+// its schedule from it with NewScheduleFromRoutes, with no collective.
 type (
 	// JoinEvent schedules one rank's entry into the running world.
 	JoinEvent = mpsim.JoinEvent
@@ -188,13 +188,6 @@ type (
 	RouteMap = core.RouteMap
 	// RouteRun is one run-compressed span of a RouteMap.
 	RouteRun = core.RouteRun
-	// RouteDelta is the run-aligned difference of two route maps.
-	RouteDelta = core.RouteDelta
-	// RankView translates world ranks into a union communicator.
-	RankView = core.RankView
-	// RepairPolicy bounds when an incremental repair is preferred over
-	// a full rebuild.
-	RepairPolicy = core.RepairPolicy
 )
 
 var (
@@ -207,12 +200,9 @@ var (
 	// O(parts), without dereferencing elements.
 	BlockRoutes = core.BlockRoutes
 	// NewScheduleFromRoutes assembles a process's schedule from a route
-	// map with no communication — the path a joining rank takes.
+	// map with no communication — how a schedule is rebuilt without the
+	// collective inspector.
 	NewScheduleFromRoutes = core.NewScheduleFromRoutes
-	// RepairOrRebuild patches a cached schedule in O(delta) when the
-	// routing delta is within policy, falling back to the collective
-	// rebuild otherwise.
-	RepairOrRebuild = core.RepairOrRebuild
 )
 
 // Run executes a configured set of programs on the simulated machine.

@@ -8,6 +8,8 @@
 # The benchmarks run at -cpu 1, the host shape the committed baselines
 # were recorded at: with one CPU the 256-rank ScheduleRepair worlds stay
 # on one scheduler shard, so allocs/op are deterministic.
+# ScheduleRepair/repair times NewScheduleFromRoutes (one rank's schedule
+# assembled from a route map); /rebuild the collective inspector.
 #
 # Usage:
 #   scripts/benchdiff.sh                        # newest BENCH_*.json

@@ -5,8 +5,9 @@
 # profiles add fail-stop faults: the crash sweep and the elastic
 # recovery experiment assert detection, group shrink and deterministic
 # degraded replay on top.  The growth profile adds elastic joins: the
-# scale-out experiment asserts O(delta) schedule repair and
-# bit-identical results while ranks enter the running world.
+# scale-out experiment asserts schedules assembled from route maps
+# with no collective, and bit-identical results while ranks enter the
+# running world.
 #
 # Usage:
 #   scripts/chaos.sh                     # default seed 1, lossy profile
